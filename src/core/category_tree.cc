@@ -4,6 +4,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "core/tree_intervals.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -63,15 +64,6 @@ void CategoryTree::RemoveNodeKeepChildren(NodeId node) {
   nodes_[node].direct_items = ItemSet();
 }
 
-size_t CategoryTree::Depth(NodeId id) const {
-  size_t d = 0;
-  while (nodes_[id].parent != kInvalidNode) {
-    id = nodes_[id].parent;
-    ++d;
-  }
-  return d;
-}
-
 bool CategoryTree::IsAncestor(NodeId a, NodeId b) const {
   NodeId cur = nodes_[b].parent;
   while (cur != kInvalidNode) {
@@ -79,10 +71,6 @@ bool CategoryTree::IsAncestor(NodeId a, NodeId b) const {
     cur = nodes_[cur].parent;
   }
   return false;
-}
-
-bool CategoryTree::OnSameBranch(NodeId a, NodeId b) const {
-  return a == b || IsAncestor(a, b) || IsAncestor(b, a);
 }
 
 std::vector<NodeId> CategoryTree::LeavesUnder(NodeId node) const {
@@ -198,6 +186,7 @@ Status CategoryTree::ValidateStructure() const {
 
 Status CategoryTree::ValidateModel(const OctInput& input) const {
   OCT_RETURN_NOT_OK(ValidateStructure());
+  const TreeIntervals intervals(*this);
   // Count most-specific placements per item and detect same-branch repeats.
   std::unordered_map<ItemId, std::vector<NodeId>> placements;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -220,7 +209,7 @@ Status CategoryTree::ValidateModel(const OctInput& input) const {
     }
     for (size_t i = 0; i < nodes.size(); ++i) {
       for (size_t j = i + 1; j < nodes.size(); ++j) {
-        if (OnSameBranch(nodes[i], nodes[j])) {
+        if (intervals.OnSameBranch(nodes[i], nodes[j])) {
           return Status::Internal("item " + std::to_string(item) +
                                   " placed twice on one branch");
         }

@@ -87,13 +87,10 @@ class CategoryTree {
   }
 
   bool IsLeaf(NodeId id) const { return nodes_[id].children.empty(); }
-  /// Number of edges from the root (root depth is 0).
-  size_t Depth(NodeId id) const;
-  /// True when `a` is a proper ancestor of `b`.
+  /// True when `a` is a proper ancestor of `b`. O(depth) parent walk, valid
+  /// mid-construction; frozen trees answer ancestry in O(1) through
+  /// TreeIntervals (core/tree_intervals.h).
   bool IsAncestor(NodeId a, NodeId b) const;
-  /// True when `a` and `b` lie on one root-to-leaf branch (equal, or one is
-  /// an ancestor of the other).
-  bool OnSameBranch(NodeId a, NodeId b) const;
 
   /// Leaves in the subtree of `node` (each leaf identifies one branch).
   std::vector<NodeId> LeavesUnder(NodeId node) const;

@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/tree_intervals.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -90,16 +91,8 @@ class Assignment {
     const size_t n_sets = input_.num_sets();
     OCT_CHECK_EQ(options_.cat_of.size(), n_sets);
 
-    // Euler intervals for O(1) subtree tests (structure is fixed here).
-    tin_.assign(n_nodes, 0);
-    tout_.assign(n_nodes, 0);
-    size_t clock = 0;
-    auto dfs = [&](auto&& self, NodeId id) -> void {
-      tin_[id] = clock++;
-      for (NodeId c : tree_->node(id).children) self(self, c);
-      tout_[id] = clock++;
-    };
-    dfs(dfs, tree_->root());
+    // O(1) subtree tests (structure is fixed here; only placements change).
+    intervals_ = TreeIntervals(*tree_);
 
     full_size_ = tree_->ComputeItemSetSizes();
 
@@ -127,7 +120,7 @@ class Assignment {
       if (cat == kInvalidNode) continue;
       for (ItemId item : input_.set(q).items) {
         for (NodeId p : placements_[item]) {
-          if (InSubtree(p, cat)) {
+          if (intervals_.InSubtree(p, cat)) {
             if (counted_[q].insert(item).second) ++inter_own_[q];
             break;
           }
@@ -146,21 +139,12 @@ class Assignment {
     }
   }
 
-  bool InSubtree(NodeId node, NodeId ancestor_or_self) const {
-    return tin_[ancestor_or_self] <= tin_[node] &&
-           tout_[node] <= tout_[ancestor_or_self];
-  }
-
-  bool OnSameBranch(NodeId a, NodeId b) const {
-    return InSubtree(a, b) || InSubtree(b, a);
-  }
-
   /// Item may receive a new placement at `node` without violating its bound
   /// or the one-branch rule.
   bool CanPlace(ItemId item, NodeId node) const {
     if (remaining_[item] == 0) return false;
     for (NodeId p : placements_[item]) {
-      if (OnSameBranch(p, node)) return false;
+      if (intervals_.OnSameBranch(p, node)) return false;
     }
     return true;
   }
@@ -226,7 +210,7 @@ class Assignment {
       if (c == kInvalidNode) continue;
       const double g = GainFactor(s);
       if (g <= 0.0) continue;
-      if (InSubtree(c, cat)) {
+      if (intervals_.InSubtree(c, cat)) {
         gain_at[c] += g;
       } else {
         outside_gain += g;
@@ -244,7 +228,7 @@ class Assignment {
       if (memo != chain_gain.end()) return memo->second;
       double g = gain_at.at(node);
       NodeId cur = tree_->node(node).parent;
-      while (cur != kInvalidNode && InSubtree(cur, cat)) {
+      while (cur != kInvalidNode && intervals_.InSubtree(cur, cat)) {
         if (gain_at.count(cur)) {
           g += self(self, cur);
           break;
@@ -264,7 +248,7 @@ class Assignment {
     for (const auto& [node, g] : gain_at) {
       (void)g;
       const double chain = chain_of(chain_of, node);
-      const size_t depth = tree_->Depth(node);
+      const size_t depth = intervals_.depth(node);
       if (chain > best + kEps || (chain > best - kEps && depth > best_depth)) {
         best = chain;
         best_depth = depth;
@@ -473,7 +457,7 @@ class Assignment {
   CategoryTree* tree_;
   AssignItemsStats stats_;
 
-  std::vector<size_t> tin_, tout_;
+  TreeIntervals intervals_;
   std::vector<size_t> full_size_;
   std::vector<std::vector<NodeId>> placements_;
   std::vector<uint32_t> remaining_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/tree_intervals.h"
 #include "kernel/scratch.h"
 #include "util/logging.h"
 
@@ -32,6 +33,7 @@ SetCover ScoreOneSet(const OctInput& input, const CategoryTree& tree,
                      const Similarity& sim,
                      const std::vector<std::vector<NodeId>>& direct_index,
                      const std::vector<size_t>& sizes,
+                     const TreeIntervals& intervals,
                      kernel::DenseCounter* inter, SetId q,
                      NodeId exclude_cover) {
   const CandidateSet& cs = input.set(q);
@@ -59,7 +61,7 @@ SetCover ScoreOneSet(const OctInput& input, const CategoryTree& tree,
     const double score = sim.ScoreFromSizes(cs.items.size(), sizes[node],
                                             count, cs.delta_override);
     const double precision = PrecisionFromSizes(sizes[node], count);
-    const size_t depth = tree.Depth(node);
+    const size_t depth = intervals.depth(node);
     // Prefer higher score; break ties toward higher precision (paper: "we
     // retain the one with the highest precision"), then toward the deeper
     // (more specific) category, so dedicated categories beat ancestors that
@@ -96,13 +98,14 @@ TreeScore ScoreTree(const OctInput& input, const CategoryTree& tree,
   result.per_set.resize(input.num_sets());
   const auto direct_index = BuildDirectIndex(tree, input.universe_size());
   const auto sizes = tree.ComputeItemSetSizes();
+  const TreeIntervals intervals(tree);
 
   auto worker = [&](size_t begin, size_t end) {
     kernel::DenseCounter inter(tree.num_nodes());
     for (size_t q = begin; q < end; ++q) {
       result.per_set[q] = ScoreOneSet(input, tree, sim, direct_index, sizes,
-                                      &inter, static_cast<SetId>(q),
-                                      exclude_cover);
+                                      intervals, &inter,
+                                      static_cast<SetId>(q), exclude_cover);
     }
   };
   if (pool == nullptr && input.num_sets() >= 256) {

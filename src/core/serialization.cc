@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/tree_intervals.h"
+
 namespace oct {
 
 namespace {
@@ -181,22 +183,18 @@ Result<OctInput> ParseInput(const std::string& text) {
 }
 
 std::string SerializeTree(const CategoryTree& tree) {
-  // Compact ids without mutating the input: pre-order remap.
-  const auto order = tree.PreOrder();
-  std::vector<NodeId> remap(tree.num_nodes(), kInvalidNode);
-  for (size_t i = 0; i < order.size(); ++i) {
-    remap[order[i]] = static_cast<NodeId>(i);
-  }
+  // Compact ids without mutating the input: pre-order ranks.
+  const TreeIntervals intervals(tree);
   std::ostringstream out;
   out << "octree-tree v1\n";
-  out << "nodes " << order.size() << "\n";
-  for (NodeId id : order) {
+  out << "nodes " << intervals.num_nodes() << "\n";
+  for (NodeId id : intervals.preorder()) {
     const CategoryNode& n = tree.node(id);
-    out << "node " << remap[id] << " ";
+    out << "node " << intervals.pre(id) << " ";
     if (n.parent == kInvalidNode) {
       out << "-";
     } else {
-      out << remap[n.parent];
+      out << intervals.pre(n.parent);
     }
     out << " ";
     if (n.source_set == kInvalidSet) {

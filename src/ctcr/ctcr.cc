@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/scoring.h"
+#include "core/tree_intervals.h"
 #include "core/tree_ops.h"
 #include "fault/failpoint.h"
 #include "kernel/item_set_index.h"
@@ -170,10 +171,8 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
   // to its bound" (Section 3.3, Extensions).
   {
     const auto& inverted = index->inverted();
-    std::vector<size_t> depth(tree.num_nodes(), 0);
-    for (NodeId id : tree.PreOrder()) {
-      if (id != tree.root()) depth[id] = depth[tree.node(id).parent] + 1;
-    }
+    // The structure is final from here on; only item placements change.
+    const TreeIntervals intervals(tree);
     const bool defer_duplicates = UsesItemAssignment(sim);
     std::vector<NodeId> nodes;
     for (ItemId item = 0; item < input.universe_size(); ++item) {
@@ -188,14 +187,16 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
       // at most one copy, placed at its deepest node. Process nodes deepest
       // first so a chain is identified by its deepest member.
       std::sort(nodes.begin(), nodes.end(), [&](NodeId a, NodeId b) {
-        if (depth[a] != depth[b]) return depth[a] > depth[b];
+        const uint32_t da = intervals.depth(a);
+        const uint32_t db = intervals.depth(b);
+        if (da != db) return da > db;
         return a < b;
       });
       std::vector<NodeId> chain_heads;  // Deepest node of each chain.
       for (NodeId nd : nodes) {
         bool on_existing_chain = false;
         for (NodeId head : chain_heads) {
-          if (tree.OnSameBranch(head, nd)) {
+          if (intervals.OnSameBranch(head, nd)) {
             on_existing_chain = true;
             break;
           }
@@ -216,7 +217,7 @@ CtcrResult BuildCategoryTree(const OctInput& input, const Similarity& sim,
         for (SetId q : inverted[item]) {
           if (!in_s[q]) continue;
           for (size_t c = 0; c < chain_heads.size(); ++c) {
-            if (tree.OnSameBranch(chain_heads[c], cat_of[q])) {
+            if (intervals.OnSameBranch(chain_heads[c], cat_of[q])) {
               chain_weight[c] += input.set(q).weight;
             }
           }

@@ -39,15 +39,6 @@ std::shared_ptr<const RouteIndex> RouteIndex::Build(
   }
   index->index_ = kernel::ItemSetIndex::Build(index->node_input_, options);
 
-  // Subtree node counts (itself included) in one post-order pass — the
-  // "how much did pruning skip" accounting of ScoreTopK.
-  index->subtree_nodes_.assign(index->node_input_.num_sets(), 1);
-  for (NodeId n : tree.PostOrder()) {
-    for (NodeId child : tree.node(n).children) {
-      index->subtree_nodes_[n] += index->subtree_nodes_[child];
-    }
-  }
-
   index->build_seconds_ = timer.ElapsedSeconds();
   static obs::Counter* builds = obs::MetricsRegistry::Default()->GetCounter(
       "router.index_builds_total",
@@ -102,6 +93,7 @@ ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
   const double q_size = static_cast<double>(query.size());
 
   const CategoryTree& tree = snapshot_->tree();
+  const TreeIntervals& intervals = snapshot_->intervals();
   std::vector<NodeId> todo;
   todo.push_back(tree.root());
   while (!todo.empty()) {
@@ -120,7 +112,7 @@ ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
     const size_t overlap = Overlap(*probe, node);
     if (overlap < min_overlap) {
       // The node itself was visited; its descendants are the skipped work.
-      stats.nodes_pruned += subtree_nodes_[node] - 1;
+      stats.nodes_pruned += intervals.size(node) - 1;
       continue;
     }
     if (node != tree.root()) {
@@ -131,7 +123,7 @@ ScoreStats RouteIndex::ScoreTopK(const ItemSet& query, size_t top_k,
       score.overlap = static_cast<uint32_t>(overlap);
       score.jaccard = inter / (q_size + c_size - inter);
       score.containment = inter / q_size;
-      score.depth = static_cast<uint32_t>(snapshot_->DepthOf(node));
+      score.depth = intervals.depth(node);
       // The overlap bound is necessary, not sufficient — re-check the
       // actual Jaccard (with the same epsilon slack the bound derivation
       // uses, so boundary sets are kept, never dropped).

@@ -115,8 +115,6 @@ class RouteIndex {
   /// compacted, so node ids are dense).
   OctInput node_input_;
   kernel::ItemSetIndex index_;
-  /// Nodes in each node's subtree (itself included) — pruning accounting.
-  std::vector<uint32_t> subtree_nodes_;
   double build_seconds_ = 0.0;
 };
 

@@ -16,6 +16,7 @@ TreeSnapshot::TreeSnapshot(CategoryTree tree, TreeVersion version,
   OCT_SPAN("serve/snapshot_build");
   Timer timer;
   tree_.Compact();
+  intervals_ = TreeIntervals(tree_);
 
   // Item index (CSR): count placements per item, then fill.
   ItemId max_item = 0;
@@ -41,7 +42,7 @@ TreeSnapshot::TreeSnapshot(CategoryTree tree, TreeVersion version,
                                placement_offsets_.end() - 1);
   // Pre-order fill so an item's first placement is its shallowest-first,
   // leftmost branch — a deterministic "primary" placement.
-  for (NodeId id : tree_.PreOrder()) {
+  for (NodeId id : intervals_.preorder()) {
     for (ItemId item : tree_.node(id).direct_items) {
       placements_[cursor[item]++] = id;
     }
@@ -54,18 +55,12 @@ TreeSnapshot::TreeSnapshot(CategoryTree tree, TreeVersion version,
 
   // Label map: first pre-order occurrence wins (stable across rebuilds that
   // keep labels).
-  for (NodeId id : tree_.PreOrder()) {
+  for (NodeId id : intervals_.preorder()) {
     const std::string& label = tree_.node(id).label;
     if (!label.empty()) label_to_node_.emplace(label, id);
   }
 
   subtree_item_counts_ = tree_.ComputeItemSetSizes();
-
-  depths_.assign(tree_.num_nodes(), 0);
-  for (NodeId id : tree_.PreOrder()) {
-    const NodeId parent = tree_.node(id).parent;
-    if (parent != kInvalidNode) depths_[id] = depths_[parent] + 1;
-  }
 
   build_seconds_ = timer.ElapsedSeconds();
   static obs::Histogram* build_us =

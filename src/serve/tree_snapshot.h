@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/category_tree.h"
+#include "core/tree_intervals.h"
 
 namespace oct {
 namespace serve {
@@ -67,7 +68,11 @@ class TreeSnapshot {
   size_t SubtreeItemCount(NodeId node) const;
 
   /// Depth of a node (root = 0), precomputed.
-  size_t DepthOf(NodeId node) const { return depths_[node]; }
+  size_t DepthOf(NodeId node) const { return intervals_.depth(node); }
+
+  /// Pre-order interval layout of tree(): O(1) ancestry, subtree sizes and
+  /// depths for every consumer of this version.
+  const TreeIntervals& intervals() const { return intervals_; }
 
   /// Number of distinct items with at least one placement.
   size_t num_items_indexed() const { return num_items_indexed_; }
@@ -88,7 +93,7 @@ class TreeSnapshot {
 
   std::unordered_map<std::string, NodeId> label_to_node_;
   std::vector<size_t> subtree_item_counts_;
-  std::vector<uint32_t> depths_;
+  TreeIntervals intervals_;
 };
 
 }  // namespace serve

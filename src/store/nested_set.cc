@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "core/serialization.h"
+#include "core/tree_intervals.h"
 
 namespace oct {
 namespace store {
@@ -40,63 +41,41 @@ Result<uint64_t> ParseUint(const std::string& s) {
 }  // namespace
 
 NestedSetEncoding EncodeNestedSet(const CategoryTree& tree) {
-  // PreOrder() walks alive nodes only, so tombstones drop for free, and
-  // renumbering into pre-order makes every subtree a contiguous id range —
-  // CategoryTree ids follow insertion order, which interleaves subtrees.
-  // Pre-order is also the canonical numbering SerializeTree uses.
-  const std::vector<NodeId> preorder = tree.PreOrder();
+  // Renumbering into pre-order (tombstones dropped) makes every subtree a
+  // contiguous id range — CategoryTree ids follow insertion order, which
+  // interleaves subtrees. Pre-order is also the canonical numbering
+  // SerializeTree uses.
+  const TreeIntervals intervals(tree);
+  const std::vector<NodeId>& preorder = intervals.preorder();
   const size_t n = preorder.size();
-  std::vector<NodeId> to_pre(tree.num_nodes(), kInvalidNode);
-  for (NodeId pre = 0; pre < n; ++pre) to_pre[preorder[pre]] = pre;
 
   NestedSetEncoding enc;
-  enc.lft.assign(n, 0);
-  enc.rgt.assign(n, 0);
-  enc.depth.assign(n, 0);
-  enc.parent.assign(n, kInvalidNode);
-  enc.source_set.assign(n, kInvalidSet);
+  enc.lft.resize(n);
+  enc.rgt.resize(n);
+  enc.depth.resize(n);
+  enc.parent.resize(n);
+  enc.source_set.resize(n);
   enc.label.resize(n);
   enc.item_offsets.assign(n + 1, 0);
-
-  // Iterative DFS with an explicit "exit" marker to assign rgt counters in
-  // the classic 1..2n numbering.
-  uint32_t counter = 0;
-  struct Frame {
-    NodeId node;  // Old (compacted) id.
-    bool exit;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({tree.root(), false});
-  while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    const NodeId pre = to_pre[frame.node];
-    if (frame.exit) {
-      enc.rgt[pre] = ++counter;
-      continue;
-    }
-    const CategoryNode& node = tree.node(frame.node);
-    enc.lft[pre] = ++counter;
-    enc.parent[pre] =
-        node.parent == kInvalidNode ? kInvalidNode : to_pre[node.parent];
-    enc.depth[pre] = node.parent == kInvalidNode
-                         ? 0
-                         : enc.depth[to_pre[node.parent]] + 1;
+  for (NodeId pre = 0; pre < n; ++pre) {
+    const CategoryNode& node = tree.node(preorder[pre]);
+    const uint32_t depth = intervals.depth(preorder[pre]);
+    // Classic 1..2n numbering: before entering the node the counter has
+    // ticked once on entry to each of its `pre` predecessors and once on
+    // exit from each of them that is not one of its `depth` ancestors.
+    enc.lft[pre] = 2 * pre - depth + 1;
+    enc.rgt[pre] = enc.lft[pre] + 2 * intervals.size(preorder[pre]) - 1;
+    enc.depth[pre] = depth;
+    enc.parent[pre] = node.parent == kInvalidNode ? kInvalidNode
+                                                  : intervals.pre(node.parent);
     enc.source_set[pre] = node.source_set;
     enc.label[pre] = node.label;
-    stack.push_back({frame.node, true});
-    // Push children reversed so they pop in declaration order.
-    for (auto it = node.children.rbegin(); it != node.children.rend(); ++it) {
-      stack.push_back({*it, false});
-    }
+    enc.item_offsets[pre + 1] =
+        enc.item_offsets[pre] +
+        static_cast<uint32_t>(node.direct_items.size());
   }
 
   // Direct items as CSR in the same pre-order (ItemSet iterates ascending).
-  for (NodeId pre = 0; pre < n; ++pre) {
-    enc.item_offsets[pre + 1] =
-        enc.item_offsets[pre] +
-        static_cast<uint32_t>(tree.node(preorder[pre]).direct_items.size());
-  }
   enc.items.reserve(enc.item_offsets[n]);
   for (NodeId pre = 0; pre < n; ++pre) {
     for (ItemId item : tree.node(preorder[pre]).direct_items) {

@@ -7,6 +7,7 @@
 #include "baselines/ic_q.h"
 #include "baselines/ic_s.h"
 #include "core/scoring.h"
+#include "core/tree_intervals.h"
 #include "data/catalog.h"
 
 namespace oct {
@@ -40,8 +41,9 @@ TEST(ExistingTree, TwoLevelStructure) {
   }
   EXPECT_EQ(placed, catalog.num_items());
   // Depth <= 2 (root -> type -> type/brand).
-  for (NodeId id = 0; id < tree.num_nodes(); ++id) {
-    if (tree.IsAlive(id)) EXPECT_LE(tree.Depth(id), 2u);
+  const TreeIntervals intervals(tree);
+  for (NodeId id : intervals.preorder()) {
+    EXPECT_LE(intervals.depth(id), 2u);
   }
   // Type categories partition the catalog by attribute 0.
   for (NodeId id : tree.node(tree.root()).children) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/category_tree.h"
+#include "core/tree_intervals.h"
 #include "paper_inputs.h"
 
 namespace oct {
@@ -40,15 +41,26 @@ TEST(CategoryTree, AddCategoryLinksParent) {
 TEST(CategoryTree, DepthAndAncestry) {
   NodeId a, b, c;
   CategoryTree tree = SmallTree(&a, &b, &c);
-  EXPECT_EQ(tree.Depth(tree.root()), 0u);
-  EXPECT_EQ(tree.Depth(b), 2u);
   EXPECT_TRUE(tree.IsAncestor(tree.root(), b));
   EXPECT_TRUE(tree.IsAncestor(a, b));
   EXPECT_FALSE(tree.IsAncestor(b, a));
   EXPECT_FALSE(tree.IsAncestor(c, b));
-  EXPECT_TRUE(tree.OnSameBranch(a, b));
-  EXPECT_FALSE(tree.OnSameBranch(b, c));
-  EXPECT_TRUE(tree.OnSameBranch(a, a));
+
+  const TreeIntervals intervals(tree);
+  EXPECT_EQ(intervals.depth(tree.root()), 0u);
+  EXPECT_EQ(intervals.depth(b), 2u);
+  EXPECT_EQ(intervals.preorder(), tree.PreOrder());
+  EXPECT_EQ(intervals.size(tree.root()), 4u);
+  EXPECT_EQ(intervals.size(a), 2u);
+  EXPECT_TRUE(intervals.IsAncestor(tree.root(), b));
+  EXPECT_TRUE(intervals.IsAncestor(a, b));
+  EXPECT_FALSE(intervals.IsAncestor(b, a));
+  EXPECT_FALSE(intervals.IsAncestor(c, b));
+  EXPECT_FALSE(intervals.IsAncestor(a, a));
+  EXPECT_TRUE(intervals.OnSameBranch(a, b));
+  EXPECT_TRUE(intervals.OnSameBranch(b, a));
+  EXPECT_FALSE(intervals.OnSameBranch(b, c));
+  EXPECT_TRUE(intervals.OnSameBranch(a, a));
 }
 
 TEST(CategoryTree, LeavesUnder) {

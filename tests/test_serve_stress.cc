@@ -189,12 +189,12 @@ TEST(ServeStress, ReadersProceedDuringBackgroundRebuilds) {
 }
 
 // Chaos test: readers hammer the store while rebuilds, publishes, and
-// snapshot persists run with failpoints armed on every fault site at once.
-// Whatever the injected schedule does, the serving invariants must hold:
-// readers only ever see complete snapshots, versions stay monotone, and
-// the snapshot directory ends holding a recoverable, checksummed file.
-// Errors and delays only (no `crash`): the test must also pass under TSan,
-// where abort-based one-shots are off the table.
+// version-log commits run with failpoints armed on every fault site at
+// once. Whatever the injected schedule does, the serving invariants must
+// hold: readers only ever see complete snapshots, versions stay monotone,
+// and the log ends on a committed version a fresh process warm-starts from
+// exactly. Errors and delays only (no `crash`): the test must also pass
+// under TSan, where abort-based one-shots are off the table.
 TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
   using testing_inputs::Figure2Input;
   auto* registry = fault::FailPointRegistry::Default();
@@ -207,17 +207,21 @@ TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
     ASSERT_TRUE(registry
                     ->ArmFromSpec("serve.rebuild=error:0.3,"
                                   "serve.publish=error:0.2,"
-                                  "serve.persist=error:0.3,"
-                                  "serve.persist.rename=error:0.2,"
+                                  "store.segment.append=error:0.2,"
+                                  "store.commit=error:0.2,"
+                                  "store.manifest.commit=error:0.2,"
                                   "mis.solve=delay:1ms:0.5")
                     .ok());
   }
 
-  const std::string dir = ::testing::TempDir() + "oct_chaos_snapshots";
+  const std::string dir = ::testing::TempDir() + "oct_chaos_log";
   std::filesystem::remove_all(dir);
+  auto log = store::VersionLog::Open(dir);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
 
   data::Dataset dataset;
   TreeStore store;
+  ASSERT_TRUE(store::WarmStart(log->get(), &store).ok());
   ServeStats stats;
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   ThreadPool pool(2);
@@ -258,23 +262,22 @@ TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
   }
   while (started.load() < readers.size()) std::this_thread::yield();
 
-  // Chaos rounds: drift back and forth while persisting snapshots. Any of
-  // these calls may fail by injection — that is the point; they must fail
-  // cleanly (Status out, no torn state) while readers keep going.
+  // Chaos rounds: drift back and forth; every publish commits to the log
+  // through the WarmStart hook. Any rebuild or commit may fail by
+  // injection — that is the point; it must fail cleanly (Status out, log
+  // left at its last committed version) while readers keep going.
   OctInput drift(20);
   drift.Add(ItemSet({10, 11, 12}), 2.0, "joggers");
   drift.Add(ItemSet({13, 14, 15, 16}), 1.0, "windbreakers");
-  size_t persisted_ok = 0;
   for (int round = 0; round < 12; ++round) {
     const OctInput& batch = (round % 2 == 0) ? drift : Figure2Input();
     scheduler.OfferBatch(batch);
     scheduler.WaitForRebuild();
-    if (store.PersistSnapshot(dir, nullptr, &stats).ok()) ++persisted_ok;
   }
-  // Under injection some persists fail; retry clean until one lands so the
+  // Under injection some commits fail; republish until one lands so the
   // recovery check below is meaningful even on unlucky schedules.
-  for (int i = 0; i < 20 && persisted_ok == 0; ++i) {
-    if (store.PersistSnapshot(dir, nullptr, &stats).ok()) ++persisted_ok;
+  for (int i = 0; i < 20 && (*log)->LatestVersion() == 0; ++i) {
+    store.Publish(store.Current()->tree(), "chaos retry");
   }
 
   done.store(true, std::memory_order_release);
@@ -283,23 +286,31 @@ TEST(ServeStress, ReadersSurviveChaosScheduleWithRecoverableSnapshots) {
     EXPECT_TRUE(ok[r].load()) << "reader " << r << " saw an inconsistency";
   }
 
-  // Every snapshot that reached its final name is complete and serves a
-  // tree after recovery — torn writes stay behind as ignored .tmp files.
-  ASSERT_GT(persisted_ok, 0u);
+  // A fresh, fault-free process recovers exactly the log's last committed
+  // tree — torn appends and uncommitted manifests never surface.
+  registry->DisarmAll();
+  const TreeVersion committed = (*log)->LatestVersion();
+  ASSERT_GT(committed, 0u);
+  const std::string committed_tree =
+      SerializeTree((*log)->OpenLatest().value());
+  auto reopened = store::VersionLog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->open_report().records_quarantined, 0u);
   TreeStore recovered;
-  const auto report = recovered.RecoverLatest(dir, &stats);
+  const auto report = store::WarmStart(reopened->get(), &recovered);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->files_quarantined, 0u);
-  EXPECT_NE(recovered.Current(), nullptr);
+  EXPECT_EQ(report->log_version, committed);
+  ASSERT_NE(recovered.Current(), nullptr);
+  EXPECT_EQ(SerializeTree(recovered.Current()->tree()), committed_tree);
 
-  if (!env_armed) registry->DisarmAll();
   std::filesystem::remove_all(dir);
 }
 
 // Second chaos scenario, deterministic phases: the circuit breaker opens
 // under sustained rebuild failures and recovers after the cooldown, then a
-// kill-and-recover cycle (crash mid-persist + bit rot on the newest file)
-// restores the last good checksummed snapshot — all while readers run.
+// kill-and-recover cycle (a failed commit leaving an orphan append + bit
+// rot on the newest committed record) warm-starts from the last good log
+// version — all while readers run.
 TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
   using testing_inputs::Figure2Input;
   auto* registry = fault::FailPointRegistry::Default();
@@ -311,9 +322,12 @@ TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
 
   const std::string dir = ::testing::TempDir() + "oct_chaos_breaker";
   std::filesystem::remove_all(dir);
+  auto log = store::VersionLog::Open(dir);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
 
   data::Dataset dataset;
   TreeStore store;
+  ASSERT_TRUE(store::WarmStart(log->get(), &store).ok());
   ServeStats stats;
   const Similarity sim(Variant::kJaccardThreshold, 0.8);
   ThreadPool pool(2);
@@ -323,10 +337,11 @@ TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
   policy.breaker_cooldown_seconds = 0.02;
   RebuildScheduler scheduler(&store, &stats, &dataset, sim, policy, &pool);
 
-  // Clean bootstrap + a durable good snapshot (the recovery target).
+  // Clean bootstrap, committed to the log (the recovery target).
   ASSERT_TRUE(scheduler.RebuildNow(Figure2Input()).published);
-  ASSERT_TRUE(store.PersistSnapshot(dir, nullptr, &stats).ok());
   const TreeVersion good_version = store.CurrentVersion();
+  ASSERT_EQ((*log)->LatestVersion(), good_version);
+  const std::string good_tree = SerializeTree(store.Current()->tree());
 
   std::atomic<bool> done{false};
   std::atomic<bool> reader_ok{true};
@@ -368,38 +383,44 @@ TEST(ServeStress, BreakerOpensRecoversAndKillRecoverRestoresSnapshot) {
   EXPECT_GE(stats.Snapshot().breaker_opened, 1u);
   EXPECT_GE(stats.Snapshot().breaker_closed, 1u);
 
-  // Phase 3: kill-and-recover. A crash lands mid-persist (tmp left, no
-  // visible file), and the newest previously-persisted snapshot suffers
-  // bit rot. Recovery must quarantine the rotten file and serve the last
-  // good checksummed one — never the corrupt bytes.
-  ASSERT_TRUE(store.PersistSnapshot(dir, nullptr, &stats).ok());
-  const TreeVersion newest = store.CurrentVersion();
-  const std::string newest_path =
-      dir + "/snapshot-" + std::to_string(newest) + ".oct";
-  auto bytes = ReadFile(newest_path);
+  // Phase 3: kill-and-recover. The newest committed record suffers bit
+  // rot, and a later commit dies between its segment append and the
+  // manifest rename (an orphan record on disk). Recovery must quarantine
+  // the rotten record and serve the last good version — never the corrupt
+  // bytes, never the uncommitted append.
+  const std::vector<store::LogEntry> lineage = (*log)->Lineage();
+  ASSERT_EQ(lineage.size(), 2u);
+  ASSERT_EQ(lineage.front().version, good_version);
+  const store::LogEntry& newest = lineage.back();
+  const std::string seg = dir + "/seg-000001.log";
+  ASSERT_EQ(newest.segment, 1u);
+  auto bytes = ReadFile(seg);
   ASSERT_TRUE(bytes.ok());
   std::string rotten = std::move(bytes).value();
-  rotten[rotten.size() / 2] ^= 0x40;
-  ASSERT_TRUE(WriteFile(newest_path, rotten).ok());
-  ASSERT_TRUE(
-      registry->Arm("serve.persist.rename", "error:1:x1").ok());
-  EXPECT_FALSE(store.PersistSnapshot(dir, nullptr, &stats).ok());
+  rotten[newest.offset + newest.bytes / 2] ^= 0x40;
+  ASSERT_TRUE(WriteFile(seg, rotten).ok());
+  ASSERT_TRUE(registry->Arm("store.manifest.commit", "error:1:x1").ok());
+  const TreeVersion before = (*log)->LatestVersion();
+  store.Publish(store.Current()->tree(), "uncommitted");
+  EXPECT_EQ((*log)->LatestVersion(), before);
   registry->DisarmAll();
 
   done.store(true, std::memory_order_release);
   reader.join();
   EXPECT_TRUE(reader_ok.load()) << "reader saw an inconsistency";
 
+  auto reopened = store::VersionLog::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->LatestVersion(), good_version);
+  EXPECT_EQ((*reopened)->open_report().records_quarantined, 1u);
   TreeStore recovered;
-  ServeStats recovery_stats;
-  const auto report = recovered.RecoverLatest(dir, &recovery_stats);
+  const auto report = store::WarmStart(reopened->get(), &recovered);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->persisted_version, good_version);
-  EXPECT_EQ(report->files_quarantined, 1u);
-  EXPECT_TRUE(std::filesystem::exists(newest_path + ".corrupt"));
+  EXPECT_EQ(report->log_version, good_version);
   ASSERT_NE(recovered.Current(), nullptr);
   EXPECT_EQ(recovered.Current()->note(),
-            "recovered:v" + std::to_string(good_version));
+            "warmstart:v" + std::to_string(good_version));
+  EXPECT_EQ(SerializeTree(recovered.Current()->tree()), good_tree);
 
   std::filesystem::remove_all(dir);
 }

@@ -11,6 +11,7 @@
 
 #include "core/category_tree.h"
 #include "core/serialization.h"
+#include "core/tree_intervals.h"
 #include "fault/failpoint.h"
 #include "serve/exposition.h"
 #include "serve/tree_store.h"
@@ -70,6 +71,41 @@ CategoryTree TreeForRound(uint32_t round) {
 
 std::string Canon(const CategoryTree& tree) { return SerializeTree(tree); }
 
+/// Checks every answer of `tree`'s interval view against parent walks on
+/// the uncompacted tree: tombstones belong to no subtree, alive nodes get
+/// the walk's depth, ancestry, same-branch and subtree-size answers.
+void ExpectIntervalsMatchParentWalk(const CategoryTree& tree) {
+  const TreeIntervals intervals(tree);
+  EXPECT_EQ(intervals.preorder(), tree.PreOrder());
+  for (NodeId a = 0; a < tree.num_nodes(); ++a) {
+    if (!tree.IsAlive(a)) {
+      EXPECT_EQ(intervals.pre(a), kInvalidNode);
+      EXPECT_EQ(intervals.size(a), 0u);
+      for (NodeId b = 0; b < tree.num_nodes(); ++b) {
+        EXPECT_FALSE(intervals.OnSameBranch(a, b)) << a << " " << b;
+      }
+      continue;
+    }
+    uint32_t depth = 0;
+    for (NodeId p = tree.node(a).parent; p != kInvalidNode;
+         p = tree.node(p).parent) {
+      ++depth;
+    }
+    EXPECT_EQ(intervals.depth(a), depth) << a;
+    uint32_t size = 1;
+    for (NodeId b = 0; b < tree.num_nodes(); ++b) {
+      if (!tree.IsAlive(b)) continue;
+      const bool ancestor = tree.IsAncestor(a, b);
+      size += ancestor ? 1 : 0;
+      EXPECT_EQ(intervals.IsAncestor(a, b), ancestor) << a << " " << b;
+      EXPECT_EQ(intervals.OnSameBranch(a, b),
+                a == b || ancestor || tree.IsAncestor(b, a))
+          << a << " " << b;
+    }
+    EXPECT_EQ(intervals.size(a), size) << a;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Nested-set encoding.
 // ---------------------------------------------------------------------------
@@ -98,6 +134,7 @@ TEST(NestedSetTest, RoundTripsAfterMoveNodeBreaksIdOrder) {
   tree.MoveNode(a, c);                 // a (id 1) now sits under c (id 3).
   tree.RemoveNodeKeepChildren(d);      // And leave a tombstone behind.
   ASSERT_TRUE(tree.ValidateStructure().ok());
+  ExpectIntervalsMatchParentWalk(tree);
 
   const NestedSetEncoding enc = EncodeNestedSet(tree);
   ASSERT_TRUE(ValidateNestedSet(enc).ok());
@@ -125,6 +162,7 @@ TEST(NestedSetTest, SubtreeQueriesMatchTreeOracle) {
     }
   }
   ASSERT_TRUE(tree.ValidateStructure().ok());
+  ExpectIntervalsMatchParentWalk(tree);
 
   const std::vector<NodeId> preorder = tree.PreOrder();
   const NestedSetEncoding enc = EncodeNestedSet(tree);
@@ -320,6 +358,81 @@ TEST_F(VersionLogTest, CorruptManifestIsQuarantinedAndRebuilt) {
   EXPECT_TRUE(std::filesystem::exists(manifest + ".corrupt"));
   EXPECT_EQ(Canon((*reopened)->OpenLatest().value()),
             Canon(TreeForRound(3)));
+}
+
+TEST_F(VersionLogTest, DamagedCommittedRecordsFallBackToLastVerified) {
+  // Damage records the MANIFEST names (not just bytes past the last one):
+  // Open must fall back to the newest record that still verifies, truncate
+  // the rotten tail, and WarmStart must serve exactly that version — or
+  // nothing, a clean cold start, when no record is left.
+  struct Case {
+    const char* name;
+    uint32_t committed;
+    TreeVersion truncated;  // Record cut in half; 0 = none.
+    TreeVersion flipped;    // Record with one payload byte flipped; 0 = none.
+    TreeVersion survivor;
+    size_t quarantined;
+  };
+  const Case cases[] = {
+      {"newest_flipped", 3, 0, 3, 2, 1},
+      {"newest_truncated", 3, 3, 0, 2, 1},
+      {"v3_truncated_v2_flipped", 3, 3, 2, 1, 2},
+      {"only_record_truncated", 1, 1, 0, 0, 1},
+      {"empty_log", 0, 0, 0, 0, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = dir_ + "/" + c.name;
+    std::vector<LogEntry> lineage;
+    {
+      auto log = VersionLog::Open(dir);
+      ASSERT_TRUE(log.ok());
+      for (uint32_t v = 1; v <= c.committed; ++v) {
+        ASSERT_TRUE((*log)->Commit(TreeForRound(v), v).ok());
+      }
+      lineage = (*log)->Lineage();
+    }
+    if (c.committed > 0) {
+      const std::string seg = dir + "/seg-000001.log";
+      auto bytes = ReadFile(seg);
+      ASSERT_TRUE(bytes.ok());
+      std::string damaged = std::move(bytes).value();
+      if (c.flipped != 0) {
+        const LogEntry& e = lineage[c.flipped - 1];
+        damaged[e.offset + e.bytes - 2] ^= 0x5A;
+      }
+      if (c.truncated != 0) {
+        const LogEntry& e = lineage[c.truncated - 1];
+        damaged.resize(e.offset + e.bytes / 2);
+      }
+      ASSERT_TRUE(WriteFile(seg, damaged).ok());
+    }
+
+    {
+      auto log = VersionLog::Open(dir);
+      ASSERT_TRUE(log.ok());
+      EXPECT_EQ((*log)->LatestVersion(), c.survivor);
+      EXPECT_EQ((*log)->open_report().records_quarantined, c.quarantined);
+      TreeStore tree_store;
+      auto report = WarmStart(log->get(), &tree_store);
+      ASSERT_TRUE(report.ok());
+      EXPECT_EQ(report->log_version, c.survivor);
+      if (c.survivor == 0) {
+        EXPECT_EQ(tree_store.Current(), nullptr);  // Cold start.
+      } else {
+        ASSERT_NE(tree_store.Current(), nullptr);
+        EXPECT_EQ(Canon(tree_store.Current()->tree()),
+                  Canon(TreeForRound(c.survivor)));
+      }
+    }
+    // The fallback is durable: a second open finds nothing to repair.
+    auto again = VersionLog::Open(dir);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ((*again)->LatestVersion(), c.survivor);
+    EXPECT_EQ((*again)->open_report().records_quarantined, 0u);
+    EXPECT_EQ((*again)->open_report().torn_records_dropped, 0u);
+    EXPECT_FALSE((*again)->open_report().manifest_rebuilt);
+  }
 }
 
 TEST_F(VersionLogTest, SegmentsRollAndCompactKeepsNewest) {
@@ -657,8 +770,14 @@ TEST_F(CrashHarnessTest, SigkillDuringCommitLoopNeverTearsTheLog) {
     if (!log.ok()) _exit(2);
     for (uint32_t v = 1; v <= 10000; ++v) {
       if (!(*log)->Commit(TreeForRound(v % 16), v).ok()) _exit(3);
-      // Progress marker written only after a successful commit.
-      if (!WriteFile(progress_path, std::to_string(v)).ok()) _exit(4);
+      // Progress marker written only after a successful commit, via temp
+      // file + rename so the kill can never leave it empty.
+      if (!WriteFile(progress_path + ".tmp", std::to_string(v)).ok()) {
+        _exit(4);
+      }
+      std::error_code ec;
+      std::filesystem::rename(progress_path + ".tmp", progress_path, ec);
+      if (ec) _exit(4);
     }
     _exit(0);
   }
@@ -688,36 +807,48 @@ TEST_F(CrashHarnessTest, SigkillDuringCommitLoopNeverTearsTheLog) {
     EXPECT_EQ(lineage[i].parent, lineage[i - 1].version);
   }
   std::filesystem::remove(progress_path);
+  std::filesystem::remove(progress_path + ".tmp");
 }
 
-TEST_F(CrashHarnessTest, AbortMidPersistSnapshotKeepsPreviousSnapshot) {
+TEST_F(CrashHarnessTest, AbortAtManifestCommitKeepsLastCommittedVersion) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
+    // Child: a warm-started store commits every publish; die inside the
+    // third commit — MANIFEST.tmp written and fsynced, rename not done.
+    auto log = VersionLog::Open(dir_);
+    if (!log.ok()) _exit(2);
     TreeStore tree_store;
+    if (!WarmStart(log->get(), &tree_store).ok()) _exit(3);
     tree_store.Publish(TreeForRound(1), "v1");
-    if (!tree_store.PersistSnapshot(dir_).ok()) _exit(2);
     tree_store.Publish(TreeForRound(2), "v2");
-    // Die between the tmp write and the rename of snapshot v2.
+    if ((*log)->LatestVersion() != 2) _exit(4);
     if (!FailPointRegistry::Default()
-             ->Arm("serve.persist.rename", "crash")
+             ->Arm("store.manifest.commit", "crash")
              .ok()) {
-      _exit(3);
+      _exit(5);
     }
-    (void)tree_store.PersistSnapshot(dir_);
-    _exit(4);
+    tree_store.Publish(TreeForRound(3), "v3");
+    _exit(6);  // Unreachable: the failpoint aborts.
   }
   int wstatus = 0;
   ASSERT_EQ(waitpid(pid, &wstatus, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(wstatus));
   EXPECT_EQ(WTERMSIG(wstatus), SIGABRT);
+  const std::string manifest_tmp = dir_ + "/MANIFEST.tmp";
+  EXPECT_TRUE(std::filesystem::exists(manifest_tmp));
 
+  auto log = VersionLog::Open(dir_);
+  ASSERT_TRUE(log.ok());
+  EXPECT_EQ((*log)->LatestVersion(), 2u);
+  EXPECT_GE((*log)->open_report().torn_records_dropped, 1u);
+  EXPECT_FALSE(std::filesystem::exists(manifest_tmp));
   TreeStore recovered;
-  auto report = recovered.RecoverLatest(dir_);
+  auto report = WarmStart(log->get(), &recovered);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->persisted_version, 1u);
+  EXPECT_EQ(report->log_version, 2u);
   ASSERT_NE(recovered.Current(), nullptr);
-  EXPECT_EQ(Canon(recovered.Current()->tree()), Canon(TreeForRound(1)));
+  EXPECT_EQ(Canon(recovered.Current()->tree()), Canon(TreeForRound(2)));
 }
 
 #endif  // OCT_STORE_HAVE_FORK && !OCT_STORE_NO_FORK

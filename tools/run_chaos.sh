@@ -66,8 +66,9 @@ for round in $(seq 1 "$ROUNDS"); do
   fp_seed="$((SEED + round))"
   schedule="serve.rebuild=error:$(prob 40)"
   schedule="$schedule,serve.publish=error:$(prob 30)"
-  schedule="$schedule,serve.persist=error:$(prob 40)"
-  schedule="$schedule,serve.persist.rename=error:$(prob 30)"
+  schedule="$schedule,store.segment.append=error:$(prob 30)"
+  schedule="$schedule,store.commit=error:$(prob 30)"
+  schedule="$schedule,store.manifest.commit=error:$(prob 30)"
   schedule="$schedule,mis.solve=delay:$((RANDOM % 3 + 1))ms:$(prob 60)"
   echo "== chaos round $round/$ROUNDS  seed=$fp_seed"
   echo "   OCT_FAILPOINTS=$schedule"
