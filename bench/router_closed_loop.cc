@@ -11,8 +11,9 @@
 //      that property is a hard failure, not a printout.
 //   3. Tracing overhead — the always-on trace-context propagation cost
 //      (mint + scope install + inactive spans + no-op finish) measured
-//      directly in ns/request, plus closed-loop means with and without a
-//      TailSampler installed. The propagation cost exceeding 3% of the
+//      directly in ns/request, plus closed-loop means of a router without
+//      telemetry and of one with a tail-sampling obs::Telemetry. The
+//      propagation cost exceeding 3% of the
 //      measured mean route latency is a hard failure: request tracing must
 //      be cheap enough to leave on everywhere.
 //
@@ -43,8 +44,7 @@
 #include "data/datasets.h"
 #include "data/query_log.h"
 #include "obs/metrics.h"
-#include "obs/slow_log.h"
-#include "obs/tail_sampler.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
 #include "router/router.h"
@@ -128,14 +128,15 @@ struct ClosedLoopResult {
 
 /// The cost a request pays for tracing even when nothing goes wrong: mint a
 /// context at ingress, install it on the worker, open/close a span, finish
-/// the trace. With no TailSampler installed every step is the no-op path —
-/// the price of leaving propagation on unconditionally. With one installed
-/// it is the record-then-discard path (the common case under tail
-/// sampling: the request was fine, its pending spans are dropped).
-double MeasurePropagationNs(size_t iters) {
+/// the trace. With a null `sampler` every step is the no-op path — the
+/// price of leaving propagation on unconditionally. With one it is the
+/// record-then-discard path (the common case under tail sampling: the
+/// request was fine, its pending spans are dropped).
+double MeasurePropagationNs(obs::TailSampler* sampler, size_t iters) {
   Timer t;
   for (size_t i = 0; i < iters; ++i) {
-    const obs::TraceContext ctx = obs::StartRequestTrace(/*deadline_ns=*/0);
+    const obs::TraceContext ctx =
+        obs::StartRequestTrace(sampler, /*deadline_ns=*/0);
     {
       obs::TraceContextScope scope(ctx);
       OCT_SPAN("bench/route");
@@ -368,8 +369,8 @@ int main() {
               router.stats().Snapshot().ToString().c_str());
 
   // --- Tracing overhead: propagation microbench + sampled closed loop. ---
-  // The gate is on the *always-on* cost (no sampler installed): that is
-  // what every request pays forever. The sampled numbers are informational
+  // The gate is on the *always-on* cost (no sampler): that is what every
+  // request pays forever. The sampled numbers are informational
   // — tail sampling is the record-then-discard path and its cost shows up
   // honestly in the closed-loop mean delta.
   double propagation_ns = 0.0;
@@ -377,16 +378,18 @@ int main() {
   {
     bench::PerfPhase perf("tracing_overhead");
     const size_t iters = 200000;
-    propagation_ns = MeasurePropagationNs(iters);
-    obs::SlowLog slow_log(64);
-    obs::TailSampler sampler;
-    obs::TailSampler::InstallGlobal(&sampler);
-    obs::SlowLog::InstallGlobal(&slow_log);
-    const double sampled_ns = MeasurePropagationNs(iters);
-    const ClosedLoopResult sampled_run =
-        RunClosedLoop(router, mix, /*clients=*/2, seconds);
-    obs::TailSampler::InstallGlobal(nullptr);
-    obs::SlowLog::InstallGlobal(nullptr);
+    propagation_ns = MeasurePropagationNs(/*sampler=*/nullptr, iters);
+    obs::Telemetry telemetry(obs::TailSamplerOptions{},
+                             /*slow_log_capacity=*/64);
+    const double sampled_ns = MeasurePropagationNs(&telemetry.sampler, iters);
+    ClosedLoopResult sampled_run;
+    {
+      router::RouterOptions sampled_options = options;
+      sampled_options.telemetry = &telemetry;
+      router::Router sampled_router(&store, ds.engine.get(), sampled_options);
+      sampled_router.Start();
+      sampled_run = RunClosedLoop(sampled_router, mix, /*clients=*/2, seconds);
+    }
     const ClosedLoopResult plain_run =
         RunClosedLoop(router, mix, /*clients=*/2, seconds);
 

@@ -23,6 +23,7 @@
 #include "serve/exposition.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
+#include "serve/telemetry.h"
 #include "serve/tree_store.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -151,11 +152,14 @@ int main() {
 
   // Exposition rides along on a free port: the bench scrapes its own
   // /metrics and /healthz mid-load, so the scrape path is exercised under
-  // exactly the contention it exists to observe.
-  static obs::SpanRing span_ring(4096);
-  obs::SpanRing::InstallGlobal(&span_ring);
+  // exactly the contention it exists to observe. Its telemetry's ring is
+  // also the process-wide span feed (static: it outlives every thread that
+  // might record into it).
+  static obs::Telemetry telemetry = serve::MakeTelemetry();
+  obs::SpanRing::InstallGlobal(&telemetry.span_ring);
   serve::ExpositionOptions expose_options;
   expose_options.enabled = true;
+  expose_options.telemetry = &telemetry;
   serve::ServingExposition exposition(&store, &scheduler, &stats,
                                       expose_options);
   const bool exposing = exposition.Start().ok();

@@ -34,6 +34,7 @@
 #include "serve/exposition.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
+#include "serve/telemetry.h"
 #include "serve/tree_store.h"
 #include "store/replica.h"
 #include "store/version_log.h"
@@ -60,22 +61,26 @@ int main() {
   serve::RebuildScheduler scheduler(&store, &stats, &ds, sim, policy);
 
   // Optional exposition endpoint: /metrics, /varz, /healthz, /tracez,
-  // /slowz, /sloz, /statusz. The span ring feeds /tracez with the most
-  // recent spans; tail sampling retains bad /route requests on /slowz;
-  // static storage so it outlives every thread that might record into it.
-  static obs::SpanRing span_ring(4096);
+  // /slowz, /sloz, /statusz. One telemetry object backs the last four: the
+  // router records SLOs and tail-samples /route requests into it, the
+  // exposition serves it, and its span ring doubles as the process-wide
+  // feed for traced pipeline spans. Static storage so it outlives every
+  // thread that might record into it.
+  static obs::Telemetry telemetry = serve::MakeTelemetry();
   serve::ExpositionOptions expose_options;
+  expose_options.telemetry = &telemetry;
   const char* expose_port = std::getenv("OCT_EXPOSE_PORT");
   if (expose_port != nullptr) {
     expose_options.enabled = true;
     expose_options.port = std::atoi(expose_port);
-    obs::SpanRing::InstallGlobal(&span_ring);
+    obs::SpanRing::InstallGlobal(&telemetry.span_ring);
     obs::SetTracingEnabled(true);
   }
   // The query router: live user queries -> ranked category paths against
   // whatever snapshot is current. Mounted on the exposition as /route.
   router::RouterOptions router_options;
   router_options.num_workers = 2;
+  router_options.telemetry = &telemetry;
   const char* router_workers = std::getenv("OCT_ROUTER_WORKERS");
   if (router_workers != nullptr) {
     router_options.num_workers =

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 
 namespace oct {
 namespace delta {
@@ -45,7 +44,7 @@ Result<serve::TreeVersion> DeltaMaintainer::PumpOnce() {
   std::lock_guard<std::mutex> lock(mu_);
   DeltaBatch batch = log_.DrainBatch(options_.max_batch_ops);
   if (batch.empty()) {
-    obs::WatchdogBeat("delta.maintainer");
+    heartbeat_.Beat();
     return serve::TreeVersion{0};
   }
   OCT_ASSIGN_OR_RETURN(DeltaApplyOutcome outcome,
@@ -54,7 +53,7 @@ Result<serve::TreeVersion> DeltaMaintainer::PumpOnce() {
       PublishOutcomeLocked(std::move(outcome));
   // Heartbeat after the full apply+publish, so a wedged apply (or a stuck
   // publish hook) reads as a stalled pump on /sloz, not a quiet success.
-  obs::WatchdogBeat("delta.maintainer");
+  heartbeat_.Beat();
   return published;
 }
 

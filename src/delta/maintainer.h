@@ -37,6 +37,7 @@
 #include "delta/delta_builder.h"
 #include "delta/delta_log.h"
 #include "delta/delta_stats.h"
+#include "obs/watchdog.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
 #include "serve/tree_store.h"
@@ -101,6 +102,8 @@ class DeltaMaintainer : public serve::CandidateBuilder {
 
   const DeltaStats& stats() const { return stats_; }
   const DeltaBuilder& builder() const { return builder_; }
+  /// Beaten once per PumpOnce(), after the full apply + publish.
+  const obs::Heartbeat& heartbeat() const { return heartbeat_; }
 
   /// Outcome of the last successful apply (its `tree` is empty — it was
   /// moved into the published snapshot).
@@ -116,6 +119,7 @@ class DeltaMaintainer : public serve::CandidateBuilder {
   serve::ServeStats* const serve_stats_;
   const DeltaMaintainerOptions options_;
   DeltaStats stats_;
+  obs::Heartbeat heartbeat_;
   DeltaLog log_;
   mutable std::mutex mu_;  // Serializes apply/publish; guards the below.
   DeltaBuilder builder_;

@@ -272,7 +272,7 @@ std::string RenderTracez(const SpanRing* ring, size_t limit,
   JsonWriter w;
   w.BeginObject();
   if (ring == nullptr) {
-    w.Key("error").String("no span ring installed");
+    w.Key("error").String("no telemetry attached");
     w.Key("spans").BeginArray().EndArray();
     w.EndObject();
     return w.str();
@@ -321,7 +321,7 @@ std::string RenderSlowz(const SlowLog* log, size_t limit) {
   JsonWriter w;
   w.BeginObject();
   if (log == nullptr) {
-    w.Key("error").String("no slow log installed");
+    w.Key("error").String("no telemetry attached");
     w.Key("requests").BeginArray().EndArray();
     w.EndObject();
     return w.str();
@@ -352,7 +352,8 @@ std::string RenderSlowz(const SlowLog* log, size_t limit) {
   return w.str();
 }
 
-std::string RenderSloz(const SloEngine* engine, const Watchdog* watchdog) {
+std::string RenderSloz(const SloEngine* engine,
+                       const std::vector<PumpStatus>& pumps) {
   JsonWriter w;
   w.BeginObject();
   bool any_alerting = false;
@@ -378,17 +379,15 @@ std::string RenderSloz(const SloEngine* engine, const Watchdog* watchdog) {
   }
   w.EndArray();
   w.Key("pumps").BeginArray();
-  if (watchdog != nullptr) {
-    for (const PumpStatus& p : watchdog->Check()) {
-      any_stalled = any_stalled || p.stalled;
-      w.BeginObject();
-      w.Key("name").String(p.name);
-      w.Key("beats").Uint(p.beats);
-      w.Key("stall_threshold_seconds").Double(p.stall_threshold_seconds);
-      w.Key("age_seconds").Double(p.age_seconds);
-      w.Key("stalled").Bool(p.stalled);
-      w.EndObject();
-    }
+  for (const PumpStatus& p : pumps) {
+    any_stalled = any_stalled || p.stalled;
+    w.BeginObject();
+    w.Key("name").String(p.name);
+    w.Key("beats").Uint(p.beats);
+    w.Key("stall_threshold_seconds").Double(p.stall_threshold_seconds);
+    w.Key("age_seconds").Double(p.age_seconds);
+    w.Key("stalled").Bool(p.stalled);
+    w.EndObject();
   }
   w.EndArray();
   w.Key("any_alerting").Bool(any_alerting);
@@ -647,25 +646,24 @@ std::string ExpositionServer::RespondTo(const HttpRequest& request) const {
     body += "\n";
     return TextResponse(report.healthy ? 200 : 503, body);
   }
+  const Telemetry* telemetry = options_.telemetry;
   if (request.path == "/tracez") {
-    const SpanRing* ring = options_.span_ring != nullptr ? options_.span_ring
-                                                         : SpanRing::Global();
+    const SpanRing* ring =
+        telemetry != nullptr ? &telemetry->span_ring : nullptr;
     const uint64_t trace_id =
         TraceIdFromHex(HttpQueryParam(request.query, "trace_id"));
     return JsonResponse(200,
                         RenderTracez(ring, options_.tracez_limit, trace_id));
   }
   if (request.path == "/slowz") {
-    const SlowLog* log =
-        options_.slow_log != nullptr ? options_.slow_log : SlowLog::Global();
+    const SlowLog* log = telemetry != nullptr ? &telemetry->slow_log : nullptr;
     return JsonResponse(200, RenderSlowz(log, options_.slowz_limit));
   }
   if (request.path == "/sloz") {
-    const SloEngine* engine =
-        options_.slo != nullptr ? options_.slo : SloEngine::Global();
-    const Watchdog* dog = options_.watchdog != nullptr ? options_.watchdog
-                                                       : Watchdog::Global();
-    return JsonResponse(200, RenderSloz(engine, dog));
+    const SloEngine* engine = telemetry != nullptr ? &telemetry->slo : nullptr;
+    return JsonResponse(
+        200, RenderSloz(engine, options_.pumps ? options_.pumps()
+                                               : std::vector<PumpStatus>()));
   }
   if (request.path == "/statusz" || request.path == "/") {
     JsonWriter w;

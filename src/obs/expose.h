@@ -10,15 +10,15 @@
 //   /varz      the JSON metrics export (MetricsToJson), for dashboards
 //   /healthz   200 "ok" / "degraded: ..." / 503 "unhealthy" from the
 //              installed health hook
-//   /tracez    most recent completed spans from the SpanRing retention
-//              buffer, as JSON (newest first). ?trace_id=<hex> filters to
-//              one request's spans, sorted by start time — the reassembled
-//              cross-thread span tree.
-//   /slowz     the tail-sampled slow-request log (SlowLog): requests that
-//              finished slow, shed, degraded, or errored, newest first,
-//              with per-stage latency breakdown
-//   /sloz      SLO burn-rate status per objective (SloEngine) plus
-//              watchdog pump heartbeats (Watchdog)
+//   /tracez    most recent completed spans from the telemetry's SpanRing
+//              retention buffer, as JSON (newest first). ?trace_id=<hex>
+//              filters to one request's spans, sorted by start time — the
+//              reassembled cross-thread span tree.
+//   /slowz     the telemetry's tail-sampled slow-request log (SlowLog):
+//              requests that finished slow, shed, degraded, or errored,
+//              newest first, with per-stage latency breakdown
+//   /sloz      SLO burn-rate status per objective (the telemetry's
+//              SloEngine) plus pump heartbeats (the pumps hook)
 //   /statusz   process status JSON: build info, uptime, plus whatever the
 //              installed status hook contributes (the serving stack adds
 //              snapshot version and retained-version history)
@@ -50,10 +50,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/slo.h"
-#include "obs/slow_log.h"
-#include "obs/span_ring.h"
-#include "obs/watchdog.h"
+#include "obs/telemetry.h"
 #include "util/status.h"
 
 namespace oct {
@@ -90,21 +87,18 @@ struct ExpositionOptions {
   /// {MetricsRegistry::Default()}. The serving stack appends its
   /// per-instance ServeStats registry here.
   std::vector<const MetricsRegistry*> registries;
-  /// Source of /tracez spans; nullptr falls back to SpanRing::Global()
-  /// (and /tracez reports "no span ring installed" when that is null too).
-  SpanRing* span_ring = nullptr;
+  /// Source of /tracez spans, /slowz entries and /sloz objectives; must
+  /// outlive the server. nullptr: /tracez and /slowz report "no telemetry
+  /// attached" and /sloz renders no objectives.
+  const Telemetry* telemetry = nullptr;
   /// Most recent spans /tracez returns.
   size_t tracez_limit = 256;
-  /// Source of /slowz entries; nullptr falls back to SlowLog::Global().
-  SlowLog* slow_log = nullptr;
   /// Most recent entries /slowz returns.
   size_t slowz_limit = 64;
-  /// Source of /sloz objective status; nullptr falls back to
-  /// SloEngine::Global().
-  SloEngine* slo = nullptr;
-  /// Source of /sloz pump heartbeats; nullptr falls back to
-  /// Watchdog::Global().
-  Watchdog* watchdog = nullptr;
+  /// /sloz pump heartbeats, evaluated at scrape time; unset renders none.
+  /// The serving stack checks each pump it holds against the telemetry's
+  /// watchdog here.
+  std::function<std::vector<PumpStatus>()> pumps;
   /// /healthz hook; unset means unconditionally healthy.
   std::function<HealthReport()> health;
   /// Extra /statusz fields: must return a JSON *object* string (e.g.
@@ -172,9 +166,10 @@ std::string RenderTracez(const SpanRing* ring, size_t limit,
 /// JSON render of the SlowLog's most recent `limit` entries (newest first).
 std::string RenderSlowz(const SlowLog* log, size_t limit);
 
-/// JSON render of SLO burn-rate status plus watchdog pump heartbeats.
-/// Either source may be null (rendered as empty arrays).
-std::string RenderSloz(const SloEngine* engine, const Watchdog* watchdog);
+/// JSON render of SLO burn-rate status plus pump heartbeats. A null
+/// engine renders an empty objectives array.
+std::string RenderSloz(const SloEngine* engine,
+                       const std::vector<PumpStatus>& pumps);
 
 /// Minimal blocking HTTP/1.1 GET against 127.0.0.1:`port`; returns the raw
 /// response (status line, headers, body). For tests, benches, and the

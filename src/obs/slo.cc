@@ -9,8 +9,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<SloEngine*> g_slo_engine{nullptr};
-
 uint64_t NowSeconds() { return TraceNowNanos() / 1000000000ULL; }
 
 /// Burn rate for one window: bad fraction over error budget. 0 when the
@@ -129,14 +127,6 @@ bool SloEngine::AnyAlerting() const {
 size_t SloEngine::num_objectives() const {
   const Index* index = index_.load(std::memory_order_acquire);
   return index == nullptr ? 0 : index->items.size();
-}
-
-void SloEngine::InstallGlobal(SloEngine* engine) {
-  g_slo_engine.store(engine, std::memory_order_release);
-}
-
-SloEngine* SloEngine::Global() {
-  return g_slo_engine.load(std::memory_order_acquire);
 }
 
 }  // namespace obs

@@ -18,7 +18,6 @@
 //   SloEngine engine;
 //   engine.AddObjective({.name = "router.latency", .target = 0.99,
 //                        .latency_threshold_us = 5000.0});
-//   SloEngine::InstallGlobal(&engine);
 //   ...
 //   engine.RecordLatency("router.latency", total_us);   // hot path
 //   ...
@@ -107,11 +106,6 @@ class SloEngine {
   bool AnyAlerting() const;
 
   size_t num_objectives() const;
-
-  /// Installs `engine` (nullptr to uninstall) as the process-wide engine
-  /// the router's hot path records into. Caller owns lifetime.
-  static void InstallGlobal(SloEngine* engine);
-  static SloEngine* Global();
 
  private:
   /// One second of tallies. `sec` tags which wall second currently owns

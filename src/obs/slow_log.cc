@@ -6,10 +6,6 @@
 namespace oct {
 namespace obs {
 
-namespace {
-std::atomic<SlowLog*> g_slow_log{nullptr};
-}  // namespace
-
 const char* TailReasonName(TailReason reason) {
   switch (reason) {
     case TailReason::kSlow: return "slow";
@@ -50,14 +46,6 @@ std::vector<SlowRequestEntry> SlowLog::Latest(size_t max_entries) const {
     out.push_back(entries_[(newest + size - i) % size]);
   }
   return out;
-}
-
-void SlowLog::InstallGlobal(SlowLog* log) {
-  g_slow_log.store(log, std::memory_order_release);
-}
-
-SlowLog* SlowLog::Global() {
-  return g_slow_log.load(std::memory_order_acquire);
 }
 
 }  // namespace obs

@@ -66,11 +66,6 @@ class SlowLog {
   }
   size_t capacity() const { return capacity_; }
 
-  /// Installs `log` (nullptr to uninstall) as the process-wide sink the
-  /// tail sampler promotes into. Caller owns lifetime.
-  static void InstallGlobal(SlowLog* log);
-  static SlowLog* Global();
-
  private:
   const size_t capacity_;
   mutable std::mutex mu_;

@@ -12,10 +12,14 @@
 // outright). Readers lock shards one at a time and merge by end time, so a
 // scrape never stalls recording for longer than one shard copy.
 //
-// Install a ring as the process-wide retention sink with InstallGlobal();
-// trace.h's SpanEnd then feeds it whenever tracing is enabled. Span names
-// are string literals (the SpanEvent contract), so retained events stay
-// valid indefinitely.
+// A ring is fed two ways. A TailSampler promotes the spans of bad requests
+// into the ring it was built with (obs::Telemetry wires its own ring).
+// Separately, InstallGlobal() names the one process-wide feed for spans
+// recorded while tracing is enabled outside any sampled request (pipeline
+// phases, pumps); it is the only process-wide observability slot. A
+// process that serves /tracez typically installs its telemetry's ring
+// there so both kinds of span show up. Span names are string literals (the
+// SpanEvent contract), so retained events stay valid indefinitely.
 
 #ifndef OCT_OBS_SPAN_RING_H_
 #define OCT_OBS_SPAN_RING_H_
@@ -60,7 +64,9 @@ class SpanRing {
   size_t capacity() const { return num_shards_ * per_shard_; }
 
   /// Installs `ring` (may be nullptr to uninstall) as the sink SpanEnd
-  /// feeds. The ring must outlive its installation; the caller owns it.
+  /// feeds with tracing-enabled spans that no sampled request owns. The
+  /// ring must outlive its installation; the caller owns it. Readers
+  /// (/tracez) never consult this slot — they read the telemetry's ring.
   static void InstallGlobal(SpanRing* ring);
   static SpanRing* Global();
 

@@ -10,8 +10,6 @@ namespace obs {
 
 namespace {
 
-std::atomic<TailSampler*> g_tail_sampler{nullptr};
-
 Counter* StartedCounter() {
   static Counter* c = MetricsRegistry::Default()->GetCounter(
       "obs.tail.traces_started", "Request traces opened by the tail sampler");
@@ -39,8 +37,12 @@ Counter* EvictedCounter() {
 
 }  // namespace
 
-TailSampler::TailSampler(TailSamplerOptions options)
-    : options_(std::move(options)), shards_(kShards) {}
+TailSampler::TailSampler(TailSamplerOptions options, SpanRing& ring,
+                         SlowLog& slow_log)
+    : options_(std::move(options)),
+      ring_(ring),
+      slow_log_(slow_log),
+      shards_(kShards) {}
 
 void TailSampler::StartTrace(uint64_t trace_id) {
   if (trace_id == 0) return;
@@ -82,7 +84,6 @@ void TailSampler::Record(const SpanEvent& event) {
 bool TailSampler::FinishTrace(uint64_t trace_id, const TraceFinish& fin) {
   if (trace_id == 0) return false;
   PendingTrace trace;
-  bool found = false;
   {
     Shard& shard = ShardFor(trace_id);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -90,7 +91,6 @@ bool TailSampler::FinishTrace(uint64_t trace_id, const TraceFinish& fin) {
     if (it != shard.pending.end()) {
       trace = std::move(it->second);
       shard.pending.erase(it);
-      found = true;
       // The fifo entry goes stale; eviction skips ids already erased.
     }
   }
@@ -105,70 +105,49 @@ bool TailSampler::FinishTrace(uint64_t trace_id, const TraceFinish& fin) {
   // Promote spans into the retention ring feeding /tracez. A shed request
   // may legitimately have no spans (rejected at admission); the slow-log
   // entry still records it.
-  if (found && !trace.spans.empty()) {
-    SpanRing* ring = options_.ring != nullptr ? options_.ring
-                                              : SpanRing::Global();
-    if (ring != nullptr) {
-      for (const SpanEvent& e : trace.spans) ring->Add(e);
-    }
-  }
+  for (const SpanEvent& e : trace.spans) ring_.Add(e);
 
-  SlowLog* log =
-      options_.slow_log != nullptr ? options_.slow_log : SlowLog::Global();
-  if (log != nullptr) {
-    SlowRequestEntry entry;
-    entry.trace_id = trace_id;
-    entry.query = fin.query;
-    entry.version = fin.version;
-    entry.total_us = fin.total_us;
-    entry.queue_us = fin.queue_us;
-    entry.resolve_us = fin.resolve_us;
-    entry.score_us = fin.score_us;
-    entry.serialize_us = fin.serialize_us;
-    entry.deduped = fin.deduped;
-    entry.shed = fin.shed;
-    entry.degraded = fin.degraded;
-    entry.errored = fin.errored;
-    entry.end_ns = TraceNowNanos();
-    // Worst condition labels the entry.
-    if (fin.errored) {
-      entry.reason = TailReason::kError;
-    } else if (fin.shed) {
-      entry.reason = TailReason::kShed;
-    } else if (fin.degraded) {
-      entry.reason = TailReason::kDegraded;
-    } else {
-      entry.reason = TailReason::kSlow;
-    }
-    log->Add(std::move(entry));
+  SlowRequestEntry entry;
+  entry.trace_id = trace_id;
+  entry.query = fin.query;
+  entry.version = fin.version;
+  entry.total_us = fin.total_us;
+  entry.queue_us = fin.queue_us;
+  entry.resolve_us = fin.resolve_us;
+  entry.score_us = fin.score_us;
+  entry.serialize_us = fin.serialize_us;
+  entry.deduped = fin.deduped;
+  entry.shed = fin.shed;
+  entry.degraded = fin.degraded;
+  entry.errored = fin.errored;
+  entry.end_ns = TraceNowNanos();
+  // Worst condition labels the entry.
+  if (fin.errored) {
+    entry.reason = TailReason::kError;
+  } else if (fin.shed) {
+    entry.reason = TailReason::kShed;
+  } else if (fin.degraded) {
+    entry.reason = TailReason::kDegraded;
+  } else {
+    entry.reason = TailReason::kSlow;
   }
+  slow_log_.Add(std::move(entry));
   return true;
 }
 
-void TailSampler::InstallGlobal(TailSampler* sampler) {
-  g_tail_sampler.store(sampler, std::memory_order_release);
-}
-
-TailSampler* TailSampler::Global() {
-  return g_tail_sampler.load(std::memory_order_acquire);
-}
-
-TraceContext StartRequestTrace(uint64_t deadline_ns) {
+TraceContext StartRequestTrace(TailSampler* sampler, uint64_t deadline_ns) {
   TraceContext ctx;
   ctx.trace_id = internal::NextTraceId();
   ctx.span_id = 0;
   ctx.deadline_ns = deadline_ns;
-  TailSampler* sampler = TailSampler::Global();
-  ctx.sampled = sampler != nullptr;
+  ctx.sampler = sampler;
   if (sampler != nullptr) sampler->StartTrace(ctx.trace_id);
   return ctx;
 }
 
 bool FinishRequestTrace(const TraceContext& ctx, const TraceFinish& fin) {
-  if (!ctx.valid()) return false;
-  TailSampler* sampler = TailSampler::Global();
-  if (sampler == nullptr) return false;
-  return sampler->FinishTrace(ctx.trace_id, fin);
+  if (!ctx.valid() || ctx.sampler == nullptr) return false;
+  return ctx.sampler->FinishTrace(ctx.trace_id, fin);
 }
 
 }  // namespace obs

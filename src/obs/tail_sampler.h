@@ -4,16 +4,19 @@
 // sampling records *every* request's spans into a lock-sharded pending
 // buffer and decides at completion: traces that finished slow (past a
 // configurable latency threshold), shed, degraded, or errored are promoted
-// into the SpanRing (feeding /tracez) plus the SlowLog (/slowz); everything
-// else is discarded in O(spans) with no further cost.
+// into the sampler's SpanRing (feeding /tracez) plus its SlowLog (/slowz);
+// everything else is discarded in O(spans) with no further cost.
 //
-//   TailSampler sampler(opts);
-//   TailSampler::InstallGlobal(&sampler);
+//   TailSampler sampler(opts, ring, slow_log);  // or obs::Telemetry
 //   ...
-//   obs::TraceContext ctx = obs::StartRequestTrace(deadline_ns);
+//   obs::TraceContext ctx = obs::StartRequestTrace(&sampler, deadline_ns);
 //   { obs::TraceContextScope scope(ctx);  /* spans record pending */ }
 //   obs::TraceFinish fin; fin.total_us = ...; fin.shed = ...;
 //   obs::FinishRequestTrace(ctx, fin);    // promote or discard
+//
+// The context carries the sampler pointer, so spans recorded on any thread
+// the context travels to land in the sampler that opened the trace; the
+// sampler must outlive every request it opened.
 //
 // Sharding: pending traces hash by trace id over kShards cacheline-aligned
 // shards, so concurrent workers finishing different requests almost never
@@ -47,10 +50,6 @@ struct TailSamplerOptions {
   size_t max_pending_per_shard = 128;
   /// Spans retained per pending trace; later spans are dropped and counted.
   size_t max_spans_per_trace = 64;
-  /// Promotion sinks. nullptr = resolve SpanRing::Global() /
-  /// SlowLog::Global() at promotion time.
-  SpanRing* ring = nullptr;
-  SlowLog* slow_log = nullptr;
 };
 
 /// Everything the verdict needs, supplied by whoever finishes the request.
@@ -73,7 +72,9 @@ struct TraceFinish {
 
 class TailSampler {
  public:
-  explicit TailSampler(TailSamplerOptions options = {});
+  /// Promoted spans go to `ring`, promoted entries to `slow_log`; both
+  /// must outlive the sampler.
+  TailSampler(TailSamplerOptions options, SpanRing& ring, SlowLog& slow_log);
 
   TailSampler(const TailSampler&) = delete;
   TailSampler& operator=(const TailSampler&) = delete;
@@ -112,11 +113,6 @@ class TailSampler {
     return evicted_.load(std::memory_order_relaxed);
   }
 
-  /// Installs `sampler` (nullptr to uninstall) as the process-wide pending
-  /// sink SpanEnd feeds for sampled contexts. Caller owns lifetime.
-  static void InstallGlobal(TailSampler* sampler);
-  static TailSampler* Global();
-
  private:
   struct PendingTrace {
     std::vector<SpanEvent> spans;
@@ -136,6 +132,8 @@ class TailSampler {
   }
 
   const TailSamplerOptions options_;
+  SpanRing& ring_;
+  SlowLog& slow_log_;
   std::vector<Shard> shards_;
   std::atomic<uint64_t> started_{0};
   std::atomic<uint64_t> promoted_{0};
@@ -143,16 +141,16 @@ class TailSampler {
   std::atomic<uint64_t> evicted_{0};
 };
 
-/// Ingress helper: mints a TraceContext for a new request. When a global
-/// TailSampler is installed the context is marked sampled and a pending
-/// trace is opened; otherwise the context still carries a trace id (spans
-/// tag it when tracing is enabled) but nothing is buffered.
-TraceContext StartRequestTrace(uint64_t deadline_ns = 0);
+/// Ingress helper: mints a TraceContext for a new request. With a
+/// `sampler` the context carries it and a pending trace is opened; with
+/// nullptr the context still carries a trace id (spans tag it when tracing
+/// is enabled) but nothing is buffered.
+TraceContext StartRequestTrace(TailSampler* sampler, uint64_t deadline_ns = 0);
 
-/// Completion helper: routes the verdict to the installed sampler (no-op
-/// when none, or when `ctx` is invalid). Returns true when the trace was
-/// promoted. Call exactly once per StartRequestTrace, from whichever
-/// thread finishes the request.
+/// Completion helper: routes the verdict to the sampler that opened `ctx`
+/// (no-op when it was unsampled or is invalid). Returns true when the
+/// trace was promoted. Call exactly once per StartRequestTrace, from
+/// whichever thread finishes the request.
 bool FinishRequestTrace(const TraceContext& ctx, const TraceFinish& fin);
 
 }  // namespace obs

@@ -94,25 +94,22 @@ ThreadBuffer* LocalBuffer() {
 }
 
 /// Routes one finished event to its sinks:
-///   - sampled request context -> the tail sampler's pending buffer (the
-///     verdict at FinishTrace decides whether it reaches the ring);
+///   - sampled request context -> the pending buffer of the tail sampler
+///     that opened the trace (the verdict at FinishTrace decides whether
+///     it reaches that sampler's ring);
 ///   - `collect` (tracing was enabled when the span opened) -> the
-///     retention ring (immediately — unsampled spans have no later
+///     process-wide feed ring (immediately — unsampled spans have no later
 ///     promotion step) + the collection buffers. Gating on the open-time
 ///     state keeps the contract that spans already open when the flag
 ///     flips still record on close.
 void RouteEvent(const SpanEvent& event, bool collect) {
-  bool pending = false;
-  if (event.trace_id != 0 && internal::g_trace_context.sampled) {
-    if (TailSampler* sampler = TailSampler::Global()) {
-      sampler->Record(event);
-      pending = true;
-    }
-  }
+  TailSampler* sampler =
+      event.trace_id != 0 ? internal::g_trace_context.sampler : nullptr;
+  if (sampler != nullptr) sampler->Record(event);
   if (!collect) return;  // Sampled-only span; the verdict owns retention.
-  // Pending spans reach the ring on promotion; adding them here too would
+  // Pending spans reach a ring on promotion; adding them here too would
   // double-count the same span in /tracez.
-  if (!pending) {
+  if (sampler == nullptr) {
     if (SpanRing* ring = SpanRing::Global()) ring->Add(event);
   }
   ThreadBuffer* buffer = LocalBuffer();
@@ -169,7 +166,7 @@ void RecordLinkedSpan(const char* name, uint64_t start_ns, uint64_t end_ns,
   ThreadBuffer* buffer = LocalBuffer();
   const TraceContext& ctx = internal::g_trace_context;
   const bool collect = TracingEnabled();
-  if (!collect && !(ctx.sampled && ctx.trace_id != 0)) return;
+  if (!collect && !(ctx.sampler != nullptr && ctx.trace_id != 0)) return;
   SpanEvent event;
   event.name = name;
   event.start_ns = start_ns;

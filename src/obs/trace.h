@@ -64,9 +64,9 @@ extern std::atomic<bool> g_tracing_enabled;
 /// parent-span register at the new span, and returns the start timestamp.
 uint64_t SpanStart(uint64_t* span_id, uint64_t* parent_id);
 /// Leaves the innermost span: restores the parent register and records the
-/// event (to the tail sampler's pending buffer when a sampled context is
-/// installed; to the span ring + collection buffers when `collect` — the
-/// tracing-enabled state at span open — is set).
+/// event (to the context's tail sampler when a sampled context is
+/// installed; to the process-wide feed ring + collection buffers when
+/// `collect` — the tracing-enabled state at span open — is set).
 void SpanEnd(const char* name, uint64_t start_ns, uint64_t span_id,
              uint64_t parent_id, bool collect);
 }  // namespace internal
@@ -106,7 +106,7 @@ class ScopedSpan {
   explicit ScopedSpan(const char* name) {
     const TraceContext& ctx = internal::g_trace_context;
     collect_ = TracingEnabled();
-    if (collect_ || (ctx.sampled && ctx.trace_id != 0)) {
+    if (collect_ || (ctx.sampler != nullptr && ctx.trace_id != 0)) {
       name_ = name;
       start_ns_ = internal::SpanStart(&span_id_, &parent_id_);
     }

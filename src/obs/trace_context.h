@@ -9,17 +9,18 @@
 // reassembles the request's full tree no matter how many threads it
 // crossed.
 //
-//   // ingress
-//   obs::TraceContext ctx = obs::StartRequestTrace(deadline_ns);
+//   // ingress (`sampler` is the telemetry's TailSampler, or nullptr)
+//   obs::TraceContext ctx = obs::StartRequestTrace(sampler, deadline_ns);
 //   obs::TraceContextScope scope(ctx);      // install on this thread
 //   ...
 //   // handoff: capture obs::CurrentTraceContext() into the queue item,
 //   // re-install with TraceContextScope on the worker.
 //
-// The context also carries the sampling decision (tail_sampler.h): sampled
-// requests record their spans into the pending buffer until the request
-// finishes and the tail verdict (slow/shed/degraded/errored?) decides
-// whether the trace is retained or discarded.
+// The context also carries the sampling decision (tail_sampler.h): the
+// sampler that opened the trace. Sampled requests record their spans into
+// that sampler's pending buffer until the request finishes and the tail
+// verdict (slow/shed/degraded/errored?) decides whether the trace is
+// retained or discarded. No process-wide sampler is consulted.
 //
 // Cost contract: propagation is one TLS copy per handoff and one TLS
 // read + branch per span site — cheap enough to leave always-on in the
@@ -34,6 +35,8 @@
 namespace oct {
 namespace obs {
 
+class TailSampler;
+
 /// The propagated per-request context. POD by design: cheap to copy into
 /// queue items and task closures. `span_id` is the id of the innermost
 /// open span on the *installing* thread — the parent new spans attach to.
@@ -42,8 +45,10 @@ struct TraceContext {
   uint64_t trace_id = 0;
   /// Current parent: the span new child spans attach under.
   uint64_t span_id = 0;
-  /// Tail-sampling decision: record spans into the pending buffer.
-  bool sampled = false;
+  /// The tail sampler that opened this trace; spans finished under the
+  /// context record into its pending buffer. nullptr = unsampled. The
+  /// sampler must outlive every copy of the context.
+  TailSampler* sampler = nullptr;
   /// Absolute deadline in TraceNowNanos() time; 0 = none. Carried for
   /// cross-thread deadline visibility, not enforced here (CancelToken is).
   uint64_t deadline_ns = 0;

@@ -1,94 +1,31 @@
 #include "obs/watchdog.h"
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace oct {
 namespace obs {
 
-namespace {
-std::atomic<Watchdog*> g_watchdog{nullptr};
-}  // namespace
+void Heartbeat::Beat() {
+  last_beat_ns_.store(TraceNowNanos(), std::memory_order_relaxed);
+  // Release pairs with the acquire in beats(): a checker that sees the
+  // count move also sees the timestamp written before it.
+  beats_.fetch_add(1, std::memory_order_release);
+}
 
-void Watchdog::RegisterPump(const std::string& name,
-                            double stall_threshold_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& pump : pumps_) {
-    if (pump->name == name) {
-      pump->stall_threshold_seconds = stall_threshold_seconds;
-      return;
-    }
+PumpStatus Watchdog::Check(const std::string& name,
+                           const Heartbeat& heartbeat) const {
+  PumpStatus status;
+  status.name = name;
+  status.beats = heartbeat.beats();
+  status.stall_threshold_seconds = stall_threshold_seconds_;
+  if (status.beats > 0) {
+    const uint64_t now_ns = TraceNowNanos();
+    const uint64_t last = heartbeat.last_beat_ns();
+    status.age_seconds =
+        now_ns > last ? static_cast<double>(now_ns - last) * 1e-9 : 0.0;
+    status.stalled = status.age_seconds > stall_threshold_seconds_;
   }
-  auto pump = std::make_unique<Pump>();
-  pump->name = name;
-  pump->stall_threshold_seconds = stall_threshold_seconds;
-  pump->beat_counter = MetricsRegistry::Default()->GetCounter(
-      "obs.pump." + name + ".beats",
-      "Heartbeats recorded by this background pump");
-  pumps_.push_back(std::move(pump));
-  Index* next = new Index();
-  next->items.reserve(pumps_.size());
-  for (const auto& p : pumps_) next->items.push_back(p.get());
-  index_.store(next, std::memory_order_release);
-}
-
-Watchdog::Pump* Watchdog::Find(const std::string& name) const {
-  const Index* index = index_.load(std::memory_order_acquire);
-  if (index == nullptr) return nullptr;
-  for (Pump* pump : index->items) {
-    if (pump->name == name) return pump;
-  }
-  return nullptr;
-}
-
-void Watchdog::Beat(const std::string& name) {
-  Pump* pump = Find(name);
-  if (pump == nullptr) return;
-  pump->last_beat_ns.store(TraceNowNanos(), std::memory_order_relaxed);
-  pump->beats.fetch_add(1, std::memory_order_relaxed);
-  pump->beat_counter->Increment();
-}
-
-std::vector<PumpStatus> Watchdog::Check() const {
-  std::vector<PumpStatus> out;
-  const Index* index = index_.load(std::memory_order_acquire);
-  if (index == nullptr) return out;
-  const uint64_t now_ns = TraceNowNanos();
-  out.reserve(index->items.size());
-  for (const Pump* pump : index->items) {
-    PumpStatus status;
-    status.name = pump->name;
-    status.beats = pump->beats.load(std::memory_order_relaxed);
-    status.stall_threshold_seconds = pump->stall_threshold_seconds;
-    const uint64_t last = pump->last_beat_ns.load(std::memory_order_relaxed);
-    if (status.beats > 0) {
-      status.age_seconds =
-          now_ns > last ? static_cast<double>(now_ns - last) * 1e-9 : 0.0;
-      status.stalled = status.age_seconds > pump->stall_threshold_seconds;
-    }
-    out.push_back(std::move(status));
-  }
-  return out;
-}
-
-bool Watchdog::AnyStalled() const {
-  for (const PumpStatus& status : Check()) {
-    if (status.stalled) return true;
-  }
-  return false;
-}
-
-void Watchdog::InstallGlobal(Watchdog* dog) {
-  g_watchdog.store(dog, std::memory_order_release);
-}
-
-Watchdog* Watchdog::Global() {
-  return g_watchdog.load(std::memory_order_acquire);
-}
-
-void WatchdogBeat(const std::string& name) {
-  Watchdog* dog = Watchdog::Global();
-  if (dog != nullptr) dog->Beat(name);
+  return status;
 }
 
 }  // namespace obs

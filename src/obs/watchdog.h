@@ -4,36 +4,46 @@
 // the replica shipper, the rebuild scheduler. When one wedges (deadlock,
 // unbounded retry, lost wakeup) the first externally visible symptom is
 // often the circuit breaker tripping minutes later, long after the root
-// cause. The watchdog makes the wedge itself observable: each pump beats
-// a named heartbeat once per iteration, and Check() flags any pump whose
-// last beat is older than its stall threshold — surfaced on /sloz and
-// folded into /healthz degraded state before the breaker trips.
+// cause. The watchdog makes the wedge itself observable: each pump owns a
+// Heartbeat it beats once per iteration, and the watchdog flags any pump
+// whose last beat is older than the stall threshold — surfaced on /sloz
+// and folded into /healthz degraded state before the breaker trips.
 //
-//   Watchdog dog;
-//   dog.RegisterPump("delta.maintainer", /*stall_threshold_seconds=*/30);
-//   Watchdog::InstallGlobal(&dog);
-//   ...
-//   obs::WatchdogBeat("delta.maintainer");   // end of each pump iteration
+//   // pump side: a member, beaten at the end of each iteration
+//   obs::Heartbeat heartbeat_;
+//   heartbeat_.Beat();
+//   // checker side: whoever holds the pump reads its heartbeat
+//   obs::Watchdog dog(/*stall_threshold_seconds=*/30);
+//   obs::PumpStatus s = dog.Check("delta.maintainer", maintainer.heartbeat());
 //
 // A pump that has never beaten is "idle", not stalled — pumps may be
 // legitimately disabled — so stall needs at least one beat on record.
-// Each beat also publishes obs.pump.<name>.beats to the default metrics
-// registry, giving dashboards a liveness series per pump.
 
 #ifndef OCT_OBS_WATCHDOG_H_
 #define OCT_OBS_WATCHDOG_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 namespace oct {
 namespace obs {
 
-class Counter;
+/// One pump's liveness record. Beat() is two atomic ops, cheap enough for
+/// every pump iteration; any thread may read it concurrently.
+class Heartbeat {
+ public:
+  void Beat();
+  uint64_t beats() const { return beats_.load(std::memory_order_acquire); }
+  /// TraceNowNanos() of the most recent beat (0 before the first).
+  uint64_t last_beat_ns() const {
+    return last_beat_ns_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<uint64_t> beats_{0};
+  std::atomic<uint64_t> last_beat_ns_{0};
+};
 
 struct PumpStatus {
   std::string name;
@@ -46,57 +56,18 @@ struct PumpStatus {
 
 class Watchdog {
  public:
-  Watchdog() = default;
+  explicit Watchdog(double stall_threshold_seconds = 30.0)
+      : stall_threshold_seconds_(stall_threshold_seconds) {}
 
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
+  /// Evaluates `heartbeat` against the current clock: stalled when it has
+  /// beaten at least once and then gone quiet past the threshold.
+  PumpStatus Check(const std::string& name, const Heartbeat& heartbeat) const;
 
-  /// Registers a pump; idempotent by name (later thresholds win). Call
-  /// before the pump starts beating.
-  void RegisterPump(const std::string& name, double stall_threshold_seconds);
-
-  /// Records one heartbeat for `name`. Unknown names are ignored, so
-  /// instrumented pumps run fine without a configured watchdog entry.
-  void Beat(const std::string& name);
-
-  /// Evaluates every pump against the current clock.
-  std::vector<PumpStatus> Check() const;
-
-  /// True when any registered pump with at least one beat has gone quiet
-  /// past its threshold.
-  bool AnyStalled() const;
-
-  /// Installs `dog` (nullptr to uninstall) as the process-wide watchdog
-  /// WatchdogBeat feeds. Caller owns lifetime.
-  static void InstallGlobal(Watchdog* dog);
-  static Watchdog* Global();
+  double stall_threshold_seconds() const { return stall_threshold_seconds_; }
 
  private:
-  struct Pump {
-    std::string name;
-    double stall_threshold_seconds = 0.0;
-    std::atomic<uint64_t> beats{0};
-    std::atomic<uint64_t> last_beat_ns{0};
-    Counter* beat_counter = nullptr;  // obs.pump.<name>.beats
-  };
-
-  Pump* Find(const std::string& name) const;
-
-  /// Same snapshot-swap pattern as SloEngine: registration rebuilds an
-  /// immutable index (old ones leak, registration is startup-only);
-  /// beats and checks scan it without locking.
-  struct Index {
-    std::vector<Pump*> items;
-  };
-
-  mutable std::mutex mu_;  // Serializes RegisterPump.
-  std::vector<std::unique_ptr<Pump>> pumps_;
-  std::atomic<Index*> index_{nullptr};
+  const double stall_threshold_seconds_;
 };
-
-/// Heartbeat helper for pump code: routes to the installed global
-/// watchdog, no-op when none. Cheap enough to leave in every pump loop.
-void WatchdogBeat(const std::string& name);
 
 }  // namespace obs
 }  // namespace oct

@@ -5,9 +5,9 @@
 #include <utility>
 
 #include "fault/failpoint.h"
-#include "obs/slo.h"
-#include "obs/tail_sampler.h"
+#include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "serve/telemetry.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -27,16 +27,12 @@ bool Shareable(const RouteResult& result) {
   return result.status.ok() && !result.degraded && !result.shed;
 }
 
-/// Feeds the installed SLO engine (no-op when none): route latency and
-/// non-shed availability, the two objectives the serving stack declares.
-void RecordSlo(const RouteResult& result) {
-  obs::SloEngine* slo = obs::SloEngine::Global();
-  if (slo == nullptr) return;
-  static const std::string kLatency = "router.latency";
-  static const std::string kAvailability = "router.availability";
-  slo->RecordLatency(kLatency, result.total_seconds * 1e6);
+/// Feeds the telemetry's SLO engine: route latency and non-shed
+/// availability, the two objectives the serving stack declares.
+void RecordSlo(obs::SloEngine* slo, const RouteResult& result) {
+  slo->RecordLatency(serve::kLatencyObjective, result.total_seconds * 1e6);
   const bool errored = !result.status.ok() && !result.shed && !result.degraded;
-  slo->Record(kAvailability, !result.shed && !errored);
+  slo->Record(serve::kAvailabilityObjective, !result.shed && !errored);
 }
 
 }  // namespace
@@ -213,14 +209,18 @@ Status Router::Submit(RouteRequest request,
   // Carry the request's trace across the queue. A caller that installed a
   // context (the HTTP ingress) stays the trace owner; otherwise the router
   // mints one at admission so direct Submit()/Route() callers (benches,
-  // tests) still get cross-thread span trees and tail sampling.
+  // tests) still get cross-thread span trees, and tail sampling when the
+  // router has telemetry.
   pending.trace = obs::CurrentTraceContext();
   if (!pending.trace.valid()) {
     const uint64_t deadline_ns =
         deadline > 0.0
             ? obs::TraceNowNanos() + static_cast<uint64_t>(deadline * 1e9)
             : 0;
-    pending.trace = obs::StartRequestTrace(deadline_ns);
+    obs::TailSampler* sampler = options_.telemetry != nullptr
+                                    ? &options_.telemetry->sampler
+                                    : nullptr;
+    pending.trace = obs::StartRequestTrace(sampler, deadline_ns);
     pending.own_trace = true;
   }
 
@@ -239,7 +239,7 @@ Status Router::Submit(RouteRequest request,
     }
   }
   if (!rejected.ok()) {
-    if (pending.own_trace) {
+    if (pending.own_trace && pending.trace.sampler != nullptr) {
       // The trace never crosses the queue; close its pending entry with
       // the shed verdict so /slowz records the rejection.
       obs::TraceFinish fin;
@@ -385,8 +385,12 @@ void Router::WorkerLoop() {
           result.queue_seconds + timer.ElapsedSeconds();
       FinishResult(result);
       stats_.RecordRoute(result.total_seconds, result.trace_id);
-      RecordSlo(result);
-      if (pending.own_trace) {
+      if (options_.telemetry != nullptr) {
+        RecordSlo(&options_.telemetry->slo, result);
+      }
+      // Unsampled traces skip the finish record (and its query text)
+      // entirely: there is no sampler to hand the verdict to.
+      if (pending.own_trace && pending.trace.sampler != nullptr) {
         obs::TraceFinish fin;
         fin.total_us = result.total_seconds * 1e6;
         fin.queue_us = result.queue_seconds * 1e6;

@@ -52,6 +52,10 @@
 #include "util/timer.h"
 
 namespace oct {
+namespace obs {
+struct Telemetry;
+}  // namespace obs
+
 namespace router {
 
 struct RouterOptions {
@@ -80,6 +84,12 @@ struct RouterOptions {
   size_t cache_capacity = 0;
   /// Passed through to RouteIndex::Build at snapshot install.
   kernel::ItemSetIndexOptions index_options;
+  /// Request telemetry (nullable; must outlive the router). With one, every
+  /// answered request feeds its router.latency / router.availability
+  /// objectives, and traces the router opens itself are tail-sampled into
+  /// it. Without one the router still mints trace ids but skips every
+  /// sampling and SLO step.
+  obs::Telemetry* telemetry = nullptr;
 };
 
 struct RouteRequest {

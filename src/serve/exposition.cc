@@ -7,14 +7,11 @@
 #include "delta/maintainer.h"
 #include "kernel/simd_dispatch.h"
 #include "obs/export.h"
-#include "obs/slo.h"
-#include "obs/slow_log.h"
-#include "obs/tail_sampler.h"
 #include "obs/trace.h"
 #include "obs/trace_context.h"
-#include "obs/watchdog.h"
 #include "router/query_parse.h"
 #include "router/router.h"
+#include "serve/telemetry.h"
 #include "store/replica.h"
 #include "store/version_log.h"
 #include "util/timer.h"
@@ -33,7 +30,6 @@ ServingExposition::ServingExposition(const TreeStore* store,
       router_(router),
       maintainer_(maintainer),
       options_(std::move(options)) {
-  InstallObservability();
   obs::ExpositionOptions server_options;
   server_options.port = options_.port;
   server_options.bind_address = options_.bind_address;
@@ -64,78 +60,14 @@ ServingExposition::ServingExposition(const TreeStore* store,
       {"kernel_isa",
        "\"" + std::string(kernel::IsaTierName(kernel::ActiveIsaTier())) +
            "\""});
+  server_options.telemetry = options_.telemetry;
+  server_options.pumps = [this] { return Pumps(); };
   server_options.health = [this] { return Health(); };
   server_options.status_json = [this] { return StatusJson(); };
   server_ = std::make_unique<obs::ExpositionServer>(std::move(server_options));
 }
 
-ServingExposition::~ServingExposition() {
-  Stop();
-  UninstallObservability();
-}
-
-void ServingExposition::InstallObservability() {
-  if (!options_.observability) return;
-  slow_log_ = std::make_unique<obs::SlowLog>(options_.slow_log_capacity);
-  obs::TailSamplerOptions tail_options;
-  tail_options.slow_threshold_us = options_.slow_threshold_us;
-  tail_sampler_ = std::make_unique<obs::TailSampler>(tail_options);
-
-  slo_ = std::make_unique<obs::SloEngine>();
-  obs::SloObjectiveSpec latency;
-  latency.name = "router.latency";
-  latency.description =
-      "Routes finishing within " +
-      std::to_string(static_cast<long long>(options_.slow_threshold_us)) +
-      "us";
-  latency.target = options_.latency_slo_target;
-  latency.latency_threshold_us = options_.slow_threshold_us;
-  latency.burn_alert_threshold = options_.slo_burn_alert_threshold;
-  slo_->AddObjective(latency);
-  obs::SloObjectiveSpec availability;
-  availability.name = "router.availability";
-  availability.description = "Requests neither shed nor errored";
-  availability.target = options_.availability_slo_target;
-  availability.burn_alert_threshold = options_.slo_burn_alert_threshold;
-  slo_->AddObjective(availability);
-
-  watchdog_ = std::make_unique<obs::Watchdog>();
-  watchdog_->RegisterPump("delta.maintainer", options_.pump_stall_seconds);
-  watchdog_->RegisterPump("store.replica_shipper",
-                          options_.pump_stall_seconds);
-  watchdog_->RegisterPump("serve.scheduler", options_.pump_stall_seconds);
-
-  // Fill only empty slots: an operator- or test-installed instance always
-  // wins, and destruction clears exactly what this instance installed. The
-  // /slowz, /sloz, and tail-sampling render paths all resolve the globals,
-  // so the effective stack stays consistent either way.
-  if (obs::SlowLog::Global() == nullptr) {
-    obs::SlowLog::InstallGlobal(slow_log_.get());
-    installed_slow_log_ = true;
-  }
-  if (obs::TailSampler::Global() == nullptr) {
-    obs::TailSampler::InstallGlobal(tail_sampler_.get());
-    installed_tail_sampler_ = true;
-  }
-  if (obs::SloEngine::Global() == nullptr) {
-    obs::SloEngine::InstallGlobal(slo_.get());
-    installed_slo_ = true;
-  }
-  if (obs::Watchdog::Global() == nullptr) {
-    obs::Watchdog::InstallGlobal(watchdog_.get());
-    installed_watchdog_ = true;
-  }
-}
-
-void ServingExposition::UninstallObservability() {
-  // Sampler first: stop opening pending traces before the sinks go away.
-  if (installed_tail_sampler_) obs::TailSampler::InstallGlobal(nullptr);
-  if (installed_slow_log_) obs::SlowLog::InstallGlobal(nullptr);
-  if (installed_slo_) obs::SloEngine::InstallGlobal(nullptr);
-  if (installed_watchdog_) obs::Watchdog::InstallGlobal(nullptr);
-  installed_tail_sampler_ = installed_slow_log_ = false;
-  installed_slo_ = installed_watchdog_ = false;
-}
+ServingExposition::~ServingExposition() { Stop(); }
 
 Status ServingExposition::Start() {
   if (!options_.enabled) return Status::OK();
@@ -190,23 +122,36 @@ obs::HealthReport ServingExposition::Health() const {
   // Degraded, not unhealthy: the process still answers, but the SLO error
   // budget is burning or a background pump has gone quiet. Probes keep
   // routing here (200 "degraded: ..."); dashboards and the smoke job see
-  // the flag. The *globals* are consulted — that is where the hot path
-  // records — whether this instance installed them or someone else did.
-  if (const obs::SloEngine* slo = obs::SloEngine::Global()) {
-    for (const obs::SloStatus& s : slo->Check()) {
+  // the flag.
+  if (options_.telemetry != nullptr) {
+    for (const obs::SloStatus& s : options_.telemetry->slo.Check()) {
       if (!s.alerting) continue;
       report.degraded = true;
       report.detail += ", slo " + s.name + " burning";
     }
   }
-  if (const obs::Watchdog* dog = obs::Watchdog::Global()) {
-    for (const obs::PumpStatus& p : dog->Check()) {
-      if (!p.stalled) continue;
-      report.degraded = true;
-      report.detail += ", pump " + p.name + " stalled";
-    }
+  for (const obs::PumpStatus& p : Pumps()) {
+    if (!p.stalled) continue;
+    report.degraded = true;
+    report.detail += ", pump " + p.name + " stalled";
   }
   return report;
+}
+
+std::vector<obs::PumpStatus> ServingExposition::Pumps() const {
+  std::vector<obs::PumpStatus> pumps;
+  if (options_.telemetry == nullptr) return pumps;
+  const obs::Watchdog& dog = options_.telemetry->watchdog;
+  if (maintainer_ != nullptr) {
+    pumps.push_back(dog.Check(kMaintainerPump, maintainer_->heartbeat()));
+  }
+  if (replica_set_ != nullptr) {
+    pumps.push_back(dog.Check(kReplicaShipperPump, replica_set_->heartbeat()));
+  }
+  if (scheduler_ != nullptr) {
+    pumps.push_back(dog.Check(kSchedulerPump, scheduler_->heartbeat()));
+  }
+  return pumps;
 }
 
 std::string ServingExposition::HandleRoute(
@@ -252,7 +197,10 @@ std::string ServingExposition::HandleRoute(
     deadline_ns = obs::TraceNowNanos() +
                   static_cast<uint64_t>(route_request.deadline_seconds * 1e9);
   }
-  const obs::TraceContext trace = obs::StartRequestTrace(deadline_ns);
+  obs::TailSampler* sampler = options_.telemetry != nullptr
+                                  ? &options_.telemetry->sampler
+                                  : nullptr;
+  const obs::TraceContext trace = obs::StartRequestTrace(sampler, deadline_ns);
   Timer request_timer;
   router::RouteResult result;
   {
@@ -444,15 +392,14 @@ std::string ServingExposition::StatusJson() const {
     w.Key("shed_rate").Double(rs.ShedRate());
     w.EndObject();
   }
-  if (const obs::TailSampler* sampler = obs::TailSampler::Global()) {
+  if (const obs::Telemetry* telemetry = options_.telemetry) {
+    const obs::TailSampler& sampler = telemetry->sampler;
     w.Key("tail_sampling").BeginObject();
-    w.Key("traces_started").Uint(sampler->traces_started());
-    w.Key("traces_promoted").Uint(sampler->traces_promoted());
-    w.Key("traces_discarded").Uint(sampler->traces_discarded());
-    w.Key("traces_evicted").Uint(sampler->traces_evicted());
-    if (const obs::SlowLog* log = obs::SlowLog::Global()) {
-      w.Key("slow_log_added").Uint(log->total_added());
-    }
+    w.Key("traces_started").Uint(sampler.traces_started());
+    w.Key("traces_promoted").Uint(sampler.traces_promoted());
+    w.Key("traces_discarded").Uint(sampler.traces_discarded());
+    w.Key("traces_evicted").Uint(sampler.traces_evicted());
+    w.Key("slow_log_added").Uint(telemetry->slow_log.total_added());
     w.EndObject();
   }
   w.EndObject();

@@ -15,15 +15,24 @@
 //              version, the retain-K version history, breaker state, and
 //              the last rebuild outcome.
 //   /slowz,    the tail-sampled bad-request log, SLO burn rates + pump
-//   /sloz,     heartbeats, and per-trace span trees — fed by the
-//   /tracez    observability stack this class owns and installs as the
-//              process globals (see ExpositionOptions::observability).
-//              /route requests start a trace at ingress; slow, shed,
-//              degraded, or errored ones are promoted at completion.
+//   /sloz,     heartbeats, and per-trace span trees — read from the
+//   /tracez    obs::Telemetry passed in ExpositionOptions::telemetry.
+//              /route requests start a trace at ingress on that
+//              telemetry's sampler; slow, shed, degraded, or errored ones
+//              are promoted into its slow log and span ring at completion.
+//              Pump stalls are read from the heartbeats of the scheduler,
+//              maintainer and replica set this instance holds.
 //
+// The telemetry is built by whoever assembles the process and handed to
+// the router (RouterOptions::telemetry, where route SLOs are recorded) and
+// to this class — the same object to both. Without one the endpoints
+// render empty and /route requests are traced but not sampled.
+//
+//   obs::Telemetry telemetry = serve::MakeTelemetry();
 //   serve::ExpositionOptions opts;
 //   opts.enabled = true;                       // default off: opt-in port
 //   opts.port = 9187;                          // 0 = pick a free port
+//   opts.telemetry = &telemetry;
 //   serve::ServingExposition exposition(&store, &scheduler, &stats, opts);
 //   OCT_RETURN_NOT_OK(exposition.Start());
 //   ... curl localhost:9187/metrics ...
@@ -34,9 +43,10 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "obs/expose.h"
-#include "obs/tail_sampler.h"
+#include "obs/telemetry.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
 #include "serve/tree_store.h"
@@ -64,30 +74,9 @@ struct ExpositionOptions {
   /// 0 picks any free port (read back via ServingExposition::port()).
   int port = 0;
   std::string bind_address = "127.0.0.1";
-  /// When true (default) the exposition owns the request-observability
-  /// stack — TailSampler, SlowLog, SloEngine, Watchdog — installing each
-  /// as the process global at construction *only when that slot is still
-  /// empty* (an operator-installed instance always wins) and uninstalling
-  /// its own at destruction. /route requests then get tail-sampled traces,
-  /// /slowz entries, and SLO accounting with no further wiring.
-  bool observability = true;
-  /// Tail-sampling promotion threshold: requests slower than this land in
-  /// /slowz (+ /tracez), and the latency SLO counts them bad.
-  double slow_threshold_us = 5000.0;
-  /// Bad requests retained for /slowz.
-  size_t slow_log_capacity = 256;
-  /// "router.latency": this fraction of routes must finish within
-  /// slow_threshold_us.
-  double latency_slo_target = 0.99;
-  /// "router.availability": this fraction of requests must be neither shed
-  /// nor errored.
-  double availability_slo_target = 0.999;
-  /// Burn rate that must be exceeded in BOTH SLO windows to alert.
-  double slo_burn_alert_threshold = 2.0;
-  /// A registered pump (delta maintainer, replica shipper, rebuild
-  /// scheduler) that has beaten at least once and then gone quiet this
-  /// long is reported stalled on /sloz and degrades /healthz.
-  double pump_stall_seconds = 30.0;
+  /// The telemetry this exposition serves and samples /route requests
+  /// into (nullable; must outlive the exposition). See serve/telemetry.h.
+  obs::Telemetry* telemetry = nullptr;
 };
 
 class ServingExposition {
@@ -98,7 +87,9 @@ class ServingExposition {
   /// merges the router.* registry into /metrics, and folds router health
   /// into /healthz. `maintainer` (nullable) merges the delta.* registry
   /// into /metrics and adds a "delta" object to /statusz. All referenced
-  /// objects must outlive this instance.
+  /// objects must outlive this instance. The scheduler, the maintainer and
+  /// the replica set (AttachDurability) are also the pumps whose
+  /// heartbeats /sloz and /healthz check.
   ServingExposition(const TreeStore* store, const RebuildScheduler* scheduler,
                     const ServeStats* stats, ExpositionOptions options = {},
                     router::Router* router = nullptr,
@@ -143,10 +134,9 @@ class ServingExposition {
   std::string HandleStoreRecord(const obs::HttpRequest& request) const;
 
  private:
-  /// Installs the owned observability stack into any empty global slots
-  /// (ctor) / clears exactly the slots this instance filled (dtor).
-  void InstallObservability();
-  void UninstallObservability();
+  /// Stall status of every pump this instance holds (empty without
+  /// telemetry).
+  std::vector<obs::PumpStatus> Pumps() const;
 
   const TreeStore* const store_;
   const RebuildScheduler* const scheduler_;
@@ -154,19 +144,7 @@ class ServingExposition {
   const delta::DeltaMaintainer* const maintainer_;
   const store::VersionLog* version_log_ = nullptr;
   const store::ReplicaSet* replica_set_ = nullptr;
-  ExpositionOptions options_;
-
-  // Owned observability stack (null when options_.observability is false).
-  // Globals installed by this instance are tracked so destruction never
-  // clears a slot someone else filled.
-  std::unique_ptr<obs::SlowLog> slow_log_;
-  std::unique_ptr<obs::TailSampler> tail_sampler_;
-  std::unique_ptr<obs::SloEngine> slo_;
-  std::unique_ptr<obs::Watchdog> watchdog_;
-  bool installed_slow_log_ = false;
-  bool installed_tail_sampler_ = false;
-  bool installed_slo_ = false;
-  bool installed_watchdog_ = false;
+  const ExpositionOptions options_;
 
   std::unique_ptr<obs::ExpositionServer> server_;
 };

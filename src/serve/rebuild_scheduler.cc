@@ -8,7 +8,6 @@
 #include "core/scoring.h"
 #include "fault/failpoint.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -239,7 +238,7 @@ Status RebuildScheduler::AttemptRebuild(const OctInput& batch,
 void RebuildScheduler::FinishRebuild(RebuildOutcome outcome) {
   // Every rebuild completion beats, success or failure: a scheduler that
   // stops finishing rebuilds while batches queue is what "stalled" means.
-  obs::WatchdogBeat("serve.scheduler");
+  heartbeat_.Beat();
   std::shared_ptr<OctInput> next;
   {
     std::lock_guard<std::mutex> lock(mu_);

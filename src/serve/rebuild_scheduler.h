@@ -26,6 +26,7 @@
 #include "data/datasets.h"
 #include "eval/harness.h"
 #include "fault/cancel.h"
+#include "obs/watchdog.h"
 #include "serve/serve_stats.h"
 #include "serve/tree_store.h"
 #include "util/rng.h"
@@ -205,6 +206,9 @@ class RebuildScheduler {
 
   const RebuildPolicy& policy() const { return policy_; }
 
+  /// Beaten once per finished rebuild, success or failure.
+  const obs::Heartbeat& heartbeat() const { return heartbeat_; }
+
  private:
   /// Builds, gates, and maybe publishes a candidate for `batch`, retrying
   /// failed attempts with backoff; `current_score` is the served tree's
@@ -234,6 +238,7 @@ class RebuildScheduler {
   ThreadPool* const pool_;
 
   std::atomic<bool> in_flight_{false};
+  obs::Heartbeat heartbeat_;
   mutable std::mutex mu_;  // Guards the fields below.
   std::condition_variable cv_done_;
   RebuildOutcome last_outcome_;

@@ -23,12 +23,14 @@ std::shared_ptr<const TreeSnapshot> TreeStore::Publish(CategoryTree tree,
   // serving the previous snapshot until the single atomic store below.
   auto snap = std::make_shared<const TreeSnapshot>(
       std::move(tree), next_version_++, std::move(note));
+  // Durability ride-along: the hook (e.g. a store::VersionLog commit) runs
+  // on the publisher's thread, before any reader can see the version, so
+  // the log order matches the publish order and a committed version is
+  // never preceded by its readers.
+  if (publish_hook_) publish_hook_(*snap);
   history_.push_back(snap);
   while (history_.size() > retain_) history_.pop_front();
   current_.Store(snap);
-  // Durability ride-along: the hook (e.g. a store::VersionLog commit) runs
-  // on the publisher's thread so the log order matches the publish order.
-  if (publish_hook_) publish_hook_(*snap);
   return snap;
 }
 

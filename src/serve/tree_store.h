@@ -135,11 +135,16 @@ class TreeStore {
   size_t retain_limit() const { return retain_; }
 
   /// Installs `hook`, invoked synchronously inside every subsequent
-  /// Publish() (on the publisher's thread, after the snapshot becomes
-  /// current) — the attachment point for durability layers such as
-  /// store::VersionLog, which commit each published tree to disk. Pass
-  /// nullptr to detach. Publishers serialize, so the hook never runs
-  /// concurrently with itself.
+  /// Publish() (on the publisher's thread, before the snapshot becomes
+  /// current or retained: a hook reading Current() sees the previous
+  /// version) — the attachment point for durability layers such as
+  /// store::VersionLog, which commit each published tree to disk before
+  /// readers see it. The hook cannot veto: when its commit fails the tree
+  /// is still published and served, the log stays at the previous version,
+  /// and the hook's owner counts it (store.commit_failures). Pass nullptr
+  /// to detach. Publishers serialize, so the hook never runs concurrently
+  /// with itself. The hook must not call back into this store's writers
+  /// or history (Publish, Rollback, Version, RetainedVersions, Diff).
   void SetPublishHook(std::function<void(const TreeSnapshot&)> hook);
 
  private:

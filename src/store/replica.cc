@@ -8,7 +8,6 @@
 #include "obs/expose.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 #include "util/logging.h"
 
 namespace oct {
@@ -269,7 +268,7 @@ Status ReplicaSet::ShipCommitted(TreeVersion version) {
   max_lag->Set(static_cast<int64_t>(worst));
   // One heartbeat per completed ship pass (even a failing one: the pump is
   // alive, the transport is the problem — the breaker owns that signal).
-  obs::WatchdogBeat("store.replica_shipper");
+  heartbeat_.Beat();
   return first_error;
 }
 

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/watchdog.h"
 #include "serve/tree_store.h"
 #include "store/version_log.h"
 #include "util/status.h"
@@ -146,6 +147,9 @@ class ReplicaSet {
 
   std::vector<ReplicaStatus> Statuses() const;
 
+  /// The shipper's liveness: beaten once per completed ShipCommitted pass.
+  const obs::Heartbeat& heartbeat() const { return heartbeat_; }
+
   size_t num_replicas() const;
   Replica* replica(size_t i);
 
@@ -158,6 +162,7 @@ class ReplicaSet {
   mutable std::mutex mu_;  // Guards replicas_ and fetcher_.
   RecordFetcher fetcher_;
   std::vector<std::unique_ptr<Replica>> replicas_;
+  obs::Heartbeat heartbeat_;
 };
 
 }  // namespace store

@@ -109,25 +109,23 @@ void ThreadPool::ParallelFor(size_t n,
   }
   const size_t chunks = std::min(n, workers * 4);
   const size_t chunk_size = (n + chunks - 1) / chunks;
-  std::atomic<size_t> remaining{0};
+  // `remaining`, `done_mu` and `done_cv` live on this stack frame. Each
+  // worker decrements and notifies under `done_mu`, so the caller (which
+  // reads `remaining` under the same mutex) cannot see 0 and return while
+  // the last worker still touches them.
+  size_t remaining = (n + chunk_size - 1) / chunk_size;
   std::mutex done_mu;
   std::condition_variable done_cv;
-  size_t launched = 0;
   for (size_t begin = 0; begin < n; begin += chunk_size) {
     const size_t end = std::min(n, begin + chunk_size);
-    ++launched;
-  remaining.fetch_add(1);
     Submit([&, begin, end] {
       fn(begin, end);
-      if (remaining.fetch_sub(1) == 1) {
-        std::unique_lock<std::mutex> lock(done_mu);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
-  (void)launched;
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
 }
 
 ThreadPool* DefaultThreadPool() {

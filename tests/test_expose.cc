@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "delta/maintainer.h"
 #include "fault/failpoint.h"
 #include "obs/expose.h"
 #include "obs/metrics.h"
@@ -32,6 +33,7 @@
 #include "serve/exposition.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
+#include "serve/telemetry.h"
 #include "serve/tree_store.h"
 #include "util/timer.h"
 
@@ -291,12 +293,12 @@ TEST(SpanRing, ConcurrentAddAndLatestAreClean) {
 TEST(ExpositionServer, ServesEveryEndpointOnLoopback) {
   MetricsRegistry registry;
   registry.GetCounter("it.counter", "integration counter")->Increment(5);
-  SpanRing ring(64);
-  ring.Add({"it/span", 10, 20, 0, 1});
+  Telemetry telemetry;
+  telemetry.span_ring.Add({"it/span", 10, 20, 0, 1});
 
   ExpositionOptions options;
   options.registries = {&registry};
-  options.span_ring = &ring;
+  options.telemetry = &telemetry;
   bool healthy = true;
   options.health = [&healthy] {
     return HealthReport{healthy, healthy ? "fine" : "broken"};
@@ -355,19 +357,31 @@ TEST(ExpositionServer, ScrapeUnderConcurrentLoadStaysParseableAndMonotone) {
   ExpositionServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
+  constexpr int kLoadThreads = 3;
   std::atomic<bool> done{false};
+  std::atomic<int> started{0};
   std::vector<std::thread> load;
-  for (int w = 0; w < 3; ++w) {
-    load.emplace_back([&registry, &done] {
+  for (int w = 0; w < kLoadThreads; ++w) {
+    load.emplace_back([&registry, &done, &started] {
       Counter* counter = registry.GetCounter("load.ops", "ops under load");
       Histogram* lat = registry.GetHistogram("load.lat_us", "fake", "us");
       uint64_t i = 0;
+      bool counted = false;
       while (!done.load(std::memory_order_acquire)) {
         counter->Increment();
         lat->Record(static_cast<double>(i % 1000));
         ++i;
+        if (!counted) {
+          counted = true;
+          started.fetch_add(1, std::memory_order_release);
+        }
       }
     });
+  }
+  // Start latch: on a loaded host every scrape could otherwise finish
+  // before any load thread has registered load.ops.
+  while (started.load(std::memory_order_acquire) < kLoadThreads) {
+    std::this_thread::yield();
   }
 
   double last_ops = -1.0;
@@ -518,11 +532,16 @@ TEST(ExpositionServer, HealthzDegradedStaysIn200Rotation) {
 }
 
 TEST(ExpositionServer, ServesSlowzSlozAndTracezFilterOnLoopback) {
-  SpanRing ring(64);
-  ring.Add({"req/score", 100, 4000, 1, 1, 0xbeef, 11, 10});
-  ring.Add({"other/span", 0, 50, 0, 1, 0x1234, 21, 0});
+  SloObjectiveSpec spec;
+  spec.name = "it.latency";
+  spec.description = "integration latency objective";
+  spec.target = 0.9;
+  spec.latency_threshold_us = 1000.0;
+  Telemetry telemetry(TailSamplerOptions{}, /*slow_log_capacity=*/16,
+                      /*pump_stall_seconds=*/30.0, {spec});
+  telemetry.span_ring.Add({"req/score", 100, 4000, 1, 1, 0xbeef, 11, 10});
+  telemetry.span_ring.Add({"other/span", 0, 50, 0, 1, 0x1234, 21, 0});
 
-  SlowLog slow_log(16);
   SlowRequestEntry entry;
   entry.trace_id = 0xbeef;
   entry.query = "red shoes size 9";
@@ -530,26 +549,20 @@ TEST(ExpositionServer, ServesSlowzSlozAndTracezFilterOnLoopback) {
   entry.reason = TailReason::kSlow;
   entry.total_us = 8200.0;
   entry.score_us = 7000.0;
-  slow_log.Add(entry);
+  telemetry.slow_log.Add(entry);
 
-  SloEngine slo;
-  SloObjectiveSpec spec;
-  spec.name = "it.latency";
-  spec.description = "integration latency objective";
-  spec.target = 0.9;
-  spec.latency_threshold_us = 1000.0;
-  slo.AddObjective(spec);
-  for (int i = 0; i < 20; ++i) slo.RecordLatency("it.latency", 5000.0);
+  for (int i = 0; i < 20; ++i) {
+    telemetry.slo.RecordLatency("it.latency", 5000.0);
+  }
 
-  Watchdog watchdog;
-  watchdog.RegisterPump("it.pump", /*stall_threshold_seconds=*/30.0);
-  watchdog.Beat("it.pump");
+  Heartbeat pump;
+  pump.Beat();
 
   ExpositionOptions options;
-  options.span_ring = &ring;
-  options.slow_log = &slow_log;
-  options.slo = &slo;
-  options.watchdog = &watchdog;
+  options.telemetry = &telemetry;
+  options.pumps = [&telemetry, &pump] {
+    return std::vector<PumpStatus>{telemetry.watchdog.Check("it.pump", pump)};
+  };
   ExpositionServer server(options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -609,18 +622,24 @@ TEST(ServingExposition, HealthTracksSnapshotAvailability) {
 TEST(ServingExposition, SloBurnAndPumpStallFlipHealthToDegraded) {
   TreeStore store;
   store.Publish(CategoryTree());
+  TelemetryOptions telemetry_options;
+  telemetry_options.pump_stall_seconds = 0.02;
+  obs::Telemetry telemetry = MakeTelemetry(telemetry_options);
+  delta::DeltaMaintainer maintainer(
+      &store, nullptr, Similarity(Variant::kJaccardThreshold, 0.8));
   ExpositionOptions options;
-  options.pump_stall_seconds = 0.02;
-  ServingExposition exposition(&store, nullptr, nullptr, options);
+  options.telemetry = &telemetry;
+  ServingExposition exposition(&store, nullptr, nullptr, options, nullptr,
+                               &maintainer);
   ASSERT_TRUE(exposition.Health().healthy);
   EXPECT_FALSE(exposition.Health().degraded);
 
-  // Violate the route-latency objective the exposition declared: every
+  // Violate the route-latency objective the telemetry declared: every
   // sample lands far past the threshold, burning the budget in both
   // windows.
-  obs::SloEngine* slo = obs::SloEngine::Global();
-  ASSERT_NE(slo, nullptr);  // Installed by the exposition at ctor.
-  for (int i = 0; i < 50; ++i) slo->RecordLatency("router.latency", 1e7);
+  obs::SloEngine* slo = &telemetry.slo;
+  ASSERT_NE(slo, nullptr);
+  for (int i = 0; i < 50; ++i) slo->RecordLatency(kLatencyObjective, 1e7);
   obs::HealthReport report = exposition.Health();
   EXPECT_TRUE(report.healthy);  // Degraded stays in rotation.
   EXPECT_TRUE(report.degraded);
@@ -630,7 +649,7 @@ TEST(ServingExposition, SloBurnAndPumpStallFlipHealthToDegraded) {
 
   // A pump that beats once and then goes quiet past its threshold is
   // stalled, and health says which one.
-  obs::WatchdogBeat("delta.maintainer");
+  ASSERT_TRUE(maintainer.PumpOnce().ok());  // Empty log: beats once.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   report = exposition.Health();
   EXPECT_TRUE(report.degraded);

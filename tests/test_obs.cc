@@ -597,12 +597,12 @@ TEST(Export, WriteStringToFileFailsOnBadPath) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceContext, MintsUniqueIdsAndScopesNestAndRestore) {
-  const TraceContext a = StartRequestTrace();
-  const TraceContext b = StartRequestTrace();
+  const TraceContext a = StartRequestTrace(nullptr);
+  const TraceContext b = StartRequestTrace(nullptr);
   EXPECT_NE(a.trace_id, 0u);
   EXPECT_NE(b.trace_id, 0u);
   EXPECT_NE(a.trace_id, b.trace_id);
-  EXPECT_FALSE(a.sampled);  // No sampler installed.
+  EXPECT_EQ(a.sampler, nullptr);  // No sampler passed.
   EXPECT_FALSE(CurrentTraceContext().valid());
   {
     TraceContextScope outer(a);
@@ -659,7 +659,7 @@ TEST_F(TraceTest, LinkedSpanAttachesUnderExplicitParent) {
 }
 
 TEST_F(TraceTest, CrossThreadSpansShareTraceViaExplicitContext) {
-  const TraceContext ctx = StartRequestTrace();
+  const TraceContext ctx = StartRequestTrace(nullptr);
   {
     TraceContextScope scope(ctx);
     OCT_SPAN("trace/caller");
@@ -698,16 +698,13 @@ TEST(TailSampler, PromotesBadTracesDiscardsGoodOnes) {
   SlowLog slow_log(16);
   TailSamplerOptions options;
   options.slow_threshold_us = 1000.0;
-  options.ring = &ring;
-  options.slow_log = &slow_log;
-  TailSampler sampler(options);
-  TailSampler::InstallGlobal(&sampler);
+  TailSampler sampler(options, ring, slow_log);
 
   // Fast, clean request: spans buffer pending, the verdict discards them.
   // Tracing is globally off — the tail path alone must record.
   {
-    const TraceContext ctx = StartRequestTrace();
-    EXPECT_TRUE(ctx.sampled);
+    const TraceContext ctx = StartRequestTrace(&sampler);
+    EXPECT_EQ(ctx.sampler, &sampler);
     {
       TraceContextScope scope(ctx);
       OCT_SPAN("tail/fast");
@@ -721,7 +718,7 @@ TEST(TailSampler, PromotesBadTracesDiscardsGoodOnes) {
 
   // Slow request: promoted with its spans and a full slow-log entry.
   {
-    const TraceContext ctx = StartRequestTrace();
+    const TraceContext ctx = StartRequestTrace(&sampler);
     {
       TraceContextScope scope(ctx);
       OCT_SPAN("tail/slow");
@@ -748,7 +745,7 @@ TEST(TailSampler, PromotesBadTracesDiscardsGoodOnes) {
   // Shed promotes regardless of latency, even with no spans recorded
   // (rejected at admission), and the worst condition labels the entry.
   {
-    const TraceContext ctx = StartRequestTrace();
+    const TraceContext ctx = StartRequestTrace(&sampler);
     TraceFinish fin;
     fin.total_us = 5.0;
     fin.shed = true;
@@ -756,7 +753,7 @@ TEST(TailSampler, PromotesBadTracesDiscardsGoodOnes) {
     EXPECT_EQ(slow_log.Latest(1)[0].reason, TailReason::kShed);
   }
   {
-    const TraceContext ctx = StartRequestTrace();
+    const TraceContext ctx = StartRequestTrace(&sampler);
     TraceFinish fin;
     fin.total_us = 5.0;
     fin.errored = true;
@@ -768,29 +765,27 @@ TEST(TailSampler, PromotesBadTracesDiscardsGoodOnes) {
   EXPECT_EQ(sampler.traces_started(), 4u);
   EXPECT_EQ(sampler.traces_promoted(), 3u);
   EXPECT_EQ(sampler.traces_discarded(), 1u);
-  TailSampler::InstallGlobal(nullptr);
 }
 
 TEST(TailSampler, PendingShardBoundEvictsOldest) {
   TailSamplerOptions options;
   options.max_pending_per_shard = 2;
-  TailSampler sampler(options);
-  TailSampler::InstallGlobal(&sampler);
-  for (int i = 0; i < 64; ++i) (void)StartRequestTrace();
+  SpanRing ring(16);
+  SlowLog slow_log(4);
+  TailSampler sampler(options, ring, slow_log);
+  for (int i = 0; i < 64; ++i) (void)StartRequestTrace(&sampler);
   // 64 opens over 8 shards bounded at 2 pending each: evictions must have
   // happened, and the leak is bounded by construction.
   EXPECT_GE(sampler.traces_evicted(), 64u - 8u * 2u);
-  TailSampler::InstallGlobal(nullptr);
 }
 
 TEST(TailSampler, PerTraceSpanCapDropsExcessSpans) {
   SpanRing ring(256);
   TailSamplerOptions options;
   options.max_spans_per_trace = 4;
-  options.ring = &ring;
-  TailSampler sampler(options);
-  TailSampler::InstallGlobal(&sampler);
-  const TraceContext ctx = StartRequestTrace();
+  SlowLog slow_log(4);
+  TailSampler sampler(options, ring, slow_log);
+  const TraceContext ctx = StartRequestTrace(&sampler);
   {
     TraceContextScope scope(ctx);
     for (int i = 0; i < 10; ++i) {
@@ -801,7 +796,6 @@ TEST(TailSampler, PerTraceSpanCapDropsExcessSpans) {
   fin.errored = true;
   EXPECT_TRUE(FinishRequestTrace(ctx, fin));
   EXPECT_EQ(ring.total_added(), 4u);
-  TailSampler::InstallGlobal(nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -865,33 +859,33 @@ TEST(SloEngine, LatencyObjectiveCountsThresholdAndIgnoresUnknownNames) {
 // ---------------------------------------------------------------------------
 
 TEST(Watchdog, NeverBeatenPumpIsIdleNotStalled) {
-  Watchdog dog;
-  dog.RegisterPump("idle.pump", /*stall_threshold_seconds=*/0.0);
-  const std::vector<PumpStatus> status = dog.Check();
-  ASSERT_EQ(status.size(), 1u);
-  EXPECT_EQ(status[0].beats, 0u);
-  EXPECT_FALSE(status[0].stalled);
-  EXPECT_FALSE(dog.AnyStalled());
-  // Beats to unregistered names are ignored; no global installed means the
-  // free helper is a no-op.
-  WatchdogBeat("idle.pump");
-  dog.Beat("no.such.pump");
-  EXPECT_EQ(dog.Check()[0].beats, 0u);
+  const Watchdog dog(/*stall_threshold_seconds=*/0.0);
+  Heartbeat idle;
+  const PumpStatus status = dog.Check("idle.pump", idle);
+  EXPECT_EQ(status.name, "idle.pump");
+  EXPECT_EQ(status.beats, 0u);
+  EXPECT_FALSE(status.stalled);
+  EXPECT_DOUBLE_EQ(status.age_seconds, 0.0);
+  // Beats land only on the heartbeat that was beaten: another pump's beat
+  // leaves this one idle.
+  Heartbeat other;
+  other.Beat();
+  EXPECT_EQ(dog.Check("idle.pump", idle).beats, 0u);
+  EXPECT_EQ(dog.Check("other.pump", other).beats, 1u);
 }
 
 TEST(Watchdog, DelayFailpointStallsThePumpThenHeals) {
-  Watchdog dog;
-  dog.RegisterPump("test.pump", /*stall_threshold_seconds=*/0.05);
-  Watchdog::InstallGlobal(&dog);
+  const Watchdog dog(/*stall_threshold_seconds=*/0.05);
+  Heartbeat heartbeat;
   // One pump iteration wedges on a one-shot 300 ms delay failpoint — well
   // past the 50 ms stall threshold — then resumes beating.
   ASSERT_TRUE(fault::FailPointRegistry::Default()
                   ->Arm("obs.test.pump", "delay:300:x1")
                   .ok());
   std::atomic<bool> stop{false};
-  std::thread pump([&stop] {
+  std::thread pump([&stop, &heartbeat] {
     while (!stop.load(std::memory_order_acquire)) {
-      WatchdogBeat("test.pump");
+      heartbeat.Beat();
       (void)OCT_FAILPOINT("obs.test.pump");
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -900,7 +894,7 @@ TEST(Watchdog, DelayFailpointStallsThePumpThenHeals) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   bool saw_stall = false;
   while (std::chrono::steady_clock::now() < deadline) {
-    if (dog.AnyStalled()) {
+    if (dog.Check("test.pump", heartbeat).stalled) {
       saw_stall = true;
       break;
     }
@@ -910,7 +904,7 @@ TEST(Watchdog, DelayFailpointStallsThePumpThenHeals) {
   // The wedge is one-shot: beats resume and the stall heals.
   bool healed = false;
   while (std::chrono::steady_clock::now() < deadline) {
-    if (!dog.AnyStalled()) {
+    if (!dog.Check("test.pump", heartbeat).stalled) {
       healed = true;
       break;
     }
@@ -919,10 +913,8 @@ TEST(Watchdog, DelayFailpointStallsThePumpThenHeals) {
   EXPECT_TRUE(healed);
   stop.store(true, std::memory_order_release);
   pump.join();
-  Watchdog::InstallGlobal(nullptr);
   fault::FailPointRegistry::Default()->DisarmAll();
-  ASSERT_EQ(dog.Check().size(), 1u);
-  EXPECT_GE(dog.Check()[0].beats, 2u);
+  EXPECT_GE(dog.Check("test.pump", heartbeat).beats, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "serve/exposition.h"
 #include "serve/rebuild_scheduler.h"
 #include "serve/serve_stats.h"
+#include "serve/telemetry.h"
 #include "serve/tree_store.h"
 
 namespace oct {
@@ -800,7 +802,7 @@ TEST_F(RouterTest, TraceContextPropagatesAcrossTheQueue) {
 
   obs::ClearSpans();
   obs::SetTracingEnabled(true);
-  const obs::TraceContext ctx = obs::StartRequestTrace();
+  const obs::TraceContext ctx = obs::StartRequestTrace(nullptr);
   RouteResult result;
   std::atomic<bool> done{false};
   {
@@ -870,7 +872,7 @@ TEST_F(RouterTest, DedupFollowersKeepTheirTraceAndLinkToTheLeader) {
   std::vector<obs::TraceContext> traces(kClones);
   std::vector<RouteResult> results(kClones);
   for (size_t i = 0; i < kClones; ++i) {
-    traces[i] = obs::StartRequestTrace();
+    traces[i] = obs::StartRequestTrace(nullptr);
     obs::TraceContextScope scope(traces[i]);
     RouteRequest clone;
     clone.query = queries[1];
@@ -1034,18 +1036,22 @@ TEST_F(RouterTest, ExpositionServesRouteEndpoint) {
 TEST_F(RouterTest, TailSamplingKeepsOnlyBadRequestsEndToEnd) {
   serve::TreeStore store(2);
   store.Publish(CategoryTree(SharedTree()));
-  RouterOptions options;
-  options.num_workers = 1;
-  Router router(&store, SharedDataset().engine.get(), options);
-  router.Start();
   // Huge slow threshold: only shed/degraded/errored requests promote, so
   // the clean-request phase below cannot flake on a slow CI machine.
+  serve::TelemetryOptions telemetry_options;
+  telemetry_options.slow_threshold_us = 1e9;
+  obs::Telemetry telemetry = serve::MakeTelemetry(telemetry_options);
+  RouterOptions options;
+  options.num_workers = 1;
+  options.telemetry = &telemetry;
+  Router router(&store, SharedDataset().engine.get(), options);
+  router.Start();
   serve::ExpositionOptions opts;
-  opts.slow_threshold_us = 1e9;
+  opts.telemetry = &telemetry;
   serve::ServingExposition exposition(&store, nullptr, nullptr, opts,
                                       &router);
-  obs::TailSampler* sampler = obs::TailSampler::Global();
-  ASSERT_NE(sampler, nullptr);  // Installed by the exposition at ctor.
+  obs::TailSampler* sampler = &telemetry.sampler;
+  ASSERT_NE(sampler, nullptr);
 
   // Fast clean route: 200 with the trace id echoed in the body, but the
   // tail verdict discards it — /slowz stays empty.
@@ -1072,6 +1078,154 @@ TEST_F(RouterTest, TailSamplingKeepsOnlyBadRequestsEndToEnd) {
   const std::string statusz =
       exposition.server()->HandleRequest("GET /statusz HTTP/1.1\r\n\r\n");
   EXPECT_NE(statusz.find("\"tail_sampling\""), std::string::npos) << statusz;
+}
+
+std::string Get(serve::ServingExposition& exposition,
+                const std::string& path) {
+  return exposition.server()->HandleRequest("GET " + path +
+                                            " HTTP/1.1\r\n\r\n");
+}
+
+/// Every hex trace id a /slowz body lists, newest first.
+std::vector<std::string> SlowzTraceIds(const std::string& slowz) {
+  static const std::regex kTraceId("\"trace_id\":\"([0-9a-f]{16})\"");
+  std::vector<std::string> ids;
+  for (std::sregex_iterator it(slowz.begin(), slowz.end(), kTraceId), end;
+       it != end; ++it) {
+    ids.push_back((*it)[1]);
+  }
+  return ids;
+}
+
+TEST_F(RouterTest, SlowzTraceIdOpensItsRouteSpanOnTracez) {
+  serve::TreeStore store(2);
+  store.Publish(CategoryTree(SharedTree()));
+  // Threshold 0: every request finishes "slow" and is promoted.
+  serve::TelemetryOptions telemetry_options;
+  telemetry_options.slow_threshold_us = 0;
+  obs::Telemetry telemetry = serve::MakeTelemetry(telemetry_options);
+  RouterOptions options;
+  options.num_workers = 1;
+  options.telemetry = &telemetry;
+  Router router(&store, SharedDataset().engine.get(), options);
+  router.Start();
+  serve::ExpositionOptions opts;
+  opts.telemetry = &telemetry;
+  serve::ServingExposition exposition(&store, nullptr, nullptr, opts,
+                                      &router);
+
+  // Two requests through the HTTP ingress (the exposition owns the trace)
+  // and one straight into the router (the router mints and owns it).
+  for (const char* q : {"0:0", "0:1"}) {
+    const std::string routed =
+        Get(exposition, std::string("/route?q=") + q + "&k=3");
+    ASSERT_NE(routed.find("200 OK"), std::string::npos) << routed;
+  }
+  RouteRequest direct;
+  direct.query = SampleQueries(1)[0];
+  ASSERT_TRUE(router.Route(direct).status.ok());
+
+  const std::vector<std::string> ids = SlowzTraceIds(Get(exposition, "/slowz"));
+  ASSERT_EQ(ids.size(), 3u);
+  for (const std::string& id : ids) {
+    const std::string tracez = Get(exposition, "/tracez?trace_id=" + id);
+    EXPECT_EQ(tracez.find("\"error\""), std::string::npos) << tracez;
+    EXPECT_NE(tracez.find("\"name\":\"router/route\""), std::string::npos)
+        << "trace " << id << ": " << tracez;
+  }
+}
+
+/// One serving stack: its own telemetry, router and exposition over a
+/// shared store.
+struct ServingStack {
+  ServingStack(const serve::TreeStore* store, const data::SearchEngine* engine,
+               double slow_threshold_us)
+      : telemetry(serve::MakeTelemetry(TelemetryWith(slow_threshold_us))),
+        router(store, engine, RouterWith(&telemetry)),
+        exposition(store, nullptr, nullptr, ExpositionWith(&telemetry),
+                   &router) {
+    router.Start();
+  }
+
+  static serve::TelemetryOptions TelemetryWith(double slow_threshold_us) {
+    serve::TelemetryOptions options;
+    options.slow_threshold_us = slow_threshold_us;
+    return options;
+  }
+  static RouterOptions RouterWith(obs::Telemetry* telemetry) {
+    RouterOptions options;
+    options.num_workers = 1;
+    options.telemetry = telemetry;
+    return options;
+  }
+  static serve::ExpositionOptions ExpositionWith(obs::Telemetry* telemetry) {
+    serve::ExpositionOptions options;
+    options.telemetry = telemetry;
+    return options;
+  }
+
+  /// Routes `n` requests through the HTTP ingress.
+  void Route(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const std::string routed = Get(exposition, "/route?q=0:0&k=3");
+      ASSERT_NE(routed.find("200 OK"), std::string::npos) << routed;
+    }
+  }
+
+  obs::Telemetry telemetry;
+  Router router;
+  serve::ServingExposition exposition;
+};
+
+/// Asserts one stack's ledgers: `routed` requests on both /sloz
+/// objectives and in tail_sampling, `promoted` of them on /slowz.
+void ExpectLedgers(ServingStack& stack, size_t routed, size_t promoted) {
+  const std::string total = "\"total\":" + std::to_string(routed) + ",";
+  const std::string sloz = Get(stack.exposition, "/sloz");
+  const size_t latency = sloz.find("\"router.latency\"");
+  const size_t availability = sloz.find("\"router.availability\"");
+  ASSERT_NE(latency, std::string::npos) << sloz;
+  ASSERT_NE(availability, std::string::npos) << sloz;
+  EXPECT_NE(sloz.find(total, latency), std::string::npos) << sloz;
+  EXPECT_NE(sloz.find(total, availability), std::string::npos) << sloz;
+
+  EXPECT_EQ(SlowzTraceIds(Get(stack.exposition, "/slowz")).size(), promoted);
+  const std::string statusz = Get(stack.exposition, "/statusz");
+  EXPECT_NE(statusz.find("\"traces_started\":" + std::to_string(routed) + ","),
+            std::string::npos)
+      << statusz;
+  EXPECT_NE(statusz.find("\"traces_promoted\":" + std::to_string(promoted) +
+                         ","),
+            std::string::npos)
+      << statusz;
+}
+
+TEST_F(RouterTest, TwoServingStacksKeepSeparateLedgers) {
+  serve::TreeStore store(2);
+  store.Publish(CategoryTree(SharedTree()));
+  const data::SearchEngine* engine = SharedDataset().engine.get();
+  for (const bool first_dies_first : {true, false}) {
+    SCOPED_TRACE(first_dies_first ? "first destroyed first"
+                                  : "second destroyed first");
+    // Stack A promotes everything (threshold 0), stack B nothing.
+    auto a = std::make_unique<ServingStack>(&store, engine, 0.0);
+    auto b = std::make_unique<ServingStack>(&store, engine, 1e9);
+    a->Route(2);
+    b->Route(3);
+    ExpectLedgers(*a, /*routed=*/2, /*promoted=*/2);
+    ExpectLedgers(*b, /*routed=*/3, /*promoted=*/0);
+
+    // Tearing one stack down leaves the other's ledgers intact and live.
+    if (first_dies_first) {
+      a.reset();
+      b->Route(1);
+      ExpectLedgers(*b, /*routed=*/4, /*promoted=*/0);
+    } else {
+      b.reset();
+      a->Route(1);
+      ExpectLedgers(*a, /*routed=*/3, /*promoted=*/3);
+    }
+  }
 }
 
 }  // namespace

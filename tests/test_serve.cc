@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/scoring.h"
 #include "core/serialization.h"
@@ -107,6 +108,24 @@ TEST(TreeStore, PublishBumpsVersionAndSwapsCurrent) {
   EXPECT_EQ(store.Current(), v2);
   // The old snapshot stays valid for readers that still hold it.
   EXPECT_EQ(v1->FindLabel("shoes"), 1u);
+}
+
+TEST(TreeStore, PublishHookRunsBeforeReadersSeeTheVersion) {
+  TreeStore store;
+  store.Publish(CategoryTree());  // v1, before any hook.
+  std::vector<TreeVersion> seen_current;
+  std::vector<TreeVersion> committed;
+  store.SetPublishHook([&](const TreeSnapshot& snap) {
+    // A durability hook commits `snap` while readers still get the
+    // previous version.
+    seen_current.push_back(store.CurrentVersion());
+    committed.push_back(snap.version());
+  });
+  store.Publish(CategoryTree());
+  store.Publish(CategoryTree());
+  EXPECT_EQ(seen_current, (std::vector<TreeVersion>{1, 2}));
+  EXPECT_EQ(committed, (std::vector<TreeVersion>{2, 3}));
+  EXPECT_EQ(store.CurrentVersion(), 3u);
 }
 
 TEST(TreeStore, RetainsLastKVersions) {

@@ -217,6 +217,25 @@ TEST(ThreadPool, ParallelForFewerItemsThanThreads) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, ManyTinyParallelForsReturnOnlyAfterTheirLastChunk) {
+  // Each ParallelFor keeps its completion state on the caller's stack and
+  // returns the moment the last chunk reports done. Tiny chunks make the
+  // last worker's report race the caller's return on every call; the
+  // report must be finished before the caller can see it (run under TSan
+  // to catch the use-after-scope).
+  ThreadPool pool(4);
+  size_t total = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::atomic<size_t> covered{0};
+    pool.ParallelFor(8, [&covered](size_t b, size_t e) {
+      covered.fetch_add(e - b, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(covered.load(), 8u) << "round " << round;
+    total += covered.load();
+  }
+  EXPECT_EQ(total, 2000u * 8u);
+}
+
 TEST(ThreadPool, SubmitFromWithinPoolTaskDoesNotDeadlockWaitIdle) {
   ThreadPool pool(2);
   std::atomic<int> count{0};

@@ -6,8 +6,9 @@
 # serve.*, ctcr.*, kernel.*, and router.* families). Also exercises the
 # tail-sampling pipeline: a burst of /route calls with a microscopic
 # deadline_ms forces shed requests, which must surface on /slowz (with
-# trace ids) and leave /sloz rendering its objectives. Run by the CI
-# exposition-smoke job; works identically on a laptop:
+# trace ids), resolve on /tracez, and leave /sloz rendering its
+# objectives. Run by the CI exposition-smoke job; works identically on a
+# laptop:
 #
 #   $ tools/expose_smoke.sh             # build dir: build, port 9187
 #   $ tools/expose_smoke.sh my-build 9999
@@ -92,6 +93,17 @@ python3 -c 'import json,sys; doc=json.loads(sys.argv[1]); \
   assert all(e["trace_id"] for e in entries), "entry without a trace id"; \
   assert any(e["reason"] in ("shed","slow","error") for e in entries), \
       "no shed/slow entry: " + repr(entries[:3])' "$SLOWZ"
+# /tracez reads the same telemetry: it must answer a spans array (never
+# an error), both unfiltered and for the newest slow-log entry's trace.
+TRACE_ID="$(python3 -c 'import json,sys; \
+  print(json.loads(sys.argv[1])["requests"][0]["trace_id"])' "$SLOWZ")"
+for path in "/tracez" "/tracez?trace_id=$TRACE_ID"; do
+  python3 -c 'import json,sys; doc=json.loads(sys.argv[1]); \
+    assert "error" not in doc, sys.argv[2] + ": " + doc.get("error", ""); \
+    assert isinstance(doc["spans"], list), sys.argv[2] + ": no spans array"' \
+    "$(curl -sf "$BASE$path")" "$path"
+done
+echo "(/tracez answers spans for trace $TRACE_ID)"
 SLOZ="$(curl -sf "$BASE/sloz")"
 echo "$SLOZ" | head -c 400; echo
 python3 -c 'import json,sys; doc=json.loads(sys.argv[1]); \
